@@ -7,7 +7,10 @@
 //    skeleton against a new base deployment (bounds only, O(rows));
 //  * cold-vs-warm — solving the same model structure across simulated
 //    rounds from a slack basis each time vs chaining each round's root
-//    basis (and pooled lazy cycle cuts) into the next solve.
+//    basis (and pooled lazy cycle cuts) into the next solve;
+//  * node throughput — one node-bounded branch-and-bound search: time
+//    per node plus the machine-independent LP work per node (pivots,
+//    fresh basis factorizations), the cost of the per-search LP engine.
 //
 // Shape checks gate correctness, not speed: a patched model must match
 // a fresh build bit for bit, and a warm-started solve must reach the
@@ -232,6 +235,66 @@ int BenchColdVsWarm(Fixture* f, bench::BenchJsonWriter* json) {
   return failed;
 }
 
+/// Branch-and-bound node throughput on the fixture model: a node-bounded
+/// search (so the work counters are deterministic) repeated for timing.
+int BenchNodeThroughput(Fixture* f, bench::BenchJsonWriter* json) {
+  constexpr int kRepeats = 5;
+  constexpr int64_t kMaxNodes = 400;
+  int failed = 0;
+
+  SqprMip mip(f->planner.deployment(), f->streams, f->operators, f->demands,
+              {});
+  milp::Solver solver;
+  milp::MipResult r;
+  double total_ms = 0.0;
+  for (int i = 0; i < kRepeats; ++i) {
+    SqprMip::CycleCutHandler handler(&mip);
+    milp::SolverOptions options;
+    options.deadline = Deadline::AfterMillis(60000);
+    options.max_nodes = kMaxNodes;
+    options.gap_abs = 1e-9;
+    options.gap_rel = 1e-9;
+    options.lazy = &handler;
+    Stopwatch watch;
+    r = solver.Solve(mip.mip(), options);
+    total_ms += watch.ElapsedMillis();
+    SQPR_CHECK(r.has_solution());
+  }
+  const double nodes = static_cast<double>(std::max<int64_t>(r.nodes, 1));
+  const double lp_solves =
+      static_cast<double>(std::max<int64_t>(r.lp_solves, 1));
+  const double us_per_node = 1000.0 * total_ms / kRepeats / nodes;
+  const double refactor_per_solve =
+      static_cast<double>(r.lp_refactorizations) / lp_solves;
+
+  if (!bench::ShapeCheck(r.lp_factor_reuses > 0,
+                         "LP re-solves reuse the kept factorization")) {
+    ++failed;
+  }
+  if (!bench::ShapeCheck(refactor_per_solve <= 0.5,
+                         "at most 0.5 refactorizations per LP solve")) {
+    ++failed;
+  }
+
+  std::printf(
+      "node throughput %7.1f us/node   %.1f pivots/node   "
+      "%.2f refactorizations/node   %.2f per LP solve   (%lld nodes)\n",
+      us_per_node, static_cast<double>(r.lp_iterations) / nodes,
+      static_cast<double>(r.lp_refactorizations) / nodes,
+      refactor_per_solve, static_cast<long long>(r.nodes));
+  bench::BenchRecord& rec = json->Add("node_throughput");
+  rec.labels["max_nodes"] = std::to_string(kMaxNodes);
+  rec.metrics["nodes"] = static_cast<double>(r.nodes);
+  rec.metrics["us_per_node"] = us_per_node;
+  rec.metrics["pivots_per_node"] =
+      static_cast<double>(r.lp_iterations) / nodes;
+  rec.metrics["refactorizations_per_node"] =
+      static_cast<double>(r.lp_refactorizations) / nodes;
+  rec.metrics["lp_solves_per_node"] = lp_solves / nodes;
+  rec.metrics["refactorizations_per_lp_solve"] = refactor_per_solve;
+  return failed;
+}
+
 /// End-to-end: the §IV-B replan loop with the model cache on vs off —
 /// what the service-level drift rounds actually pay per solve.
 int BenchReplanLoop(bench::BenchJsonWriter* json) {
@@ -288,7 +351,8 @@ int main(int argc, char** argv) {
 
   sqpr::bench::PrintHeader(
       "solver_micro",
-      "incremental solves: model build vs patch, cold vs warm start",
+      "incremental solves: model build vs patch, cold vs warm start, "
+      "node throughput",
       sqpr::kSeed);
   sqpr::bench::BenchJsonWriter json("solver_micro", sqpr::kSeed);
 
@@ -297,6 +361,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<sqpr::Fixture> fixture = sqpr::MakeFixture();
     failed += sqpr::BenchBuildVsPatch(fixture.get(), &json);
     failed += sqpr::BenchColdVsWarm(fixture.get(), &json);
+    failed += sqpr::BenchNodeThroughput(fixture.get(), &json);
   }
   failed += sqpr::BenchReplanLoop(&json);
 

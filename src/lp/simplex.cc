@@ -47,19 +47,36 @@ struct Tableau {
   }
 };
 
-class SimplexImpl {
- public:
-  SimplexImpl(const Model& model, const SimplexOptions& options)
-      : model_(model), options_(options) {}
+}  // namespace
 
-  SimplexResult Run();
+class SimplexSolver::Engine {
+ public:
+  explicit Engine(const SimplexOptions& options) : options_(options) {}
+
+  const SimplexOptions& options() const { return options_; }
+  SimplexResult Solve(const Model& model,
+                      const std::vector<BasisState>* warm_basis);
 
  private:
-  void BuildTableau();
+  SimplexResult Run();
+  // Takes in the model: a full rebuild on the first solve or a structure
+  // change, a column-storage rebuild on appended rows, and bounds and
+  // costs re-read on every solve.
+  void SyncModel(const Model& model);
+  void BuildColumns();
   // Installs the warm basis if provided and dimensionally sound,
-  // otherwise the all-slack basis.
-  void InstallBasis();
+  // otherwise the all-slack basis; reuses the kept inverse when it has
+  // the same basic set, refactorizes otherwise.
+  void InstallBasis(const std::vector<BasisState>* warm);
+  void SetSlackStates();
   void InstallSlackBasis();
+  // Makes `basis` (size m) the live basis and records its positions.
+  void SetBasis(const std::vector<int>& basis);
+  // Reuses the kept inverse for the basic set target_ when it covers
+  // the same set minus trailing new-row slacks: borders it with the
+  // appended rows and permutes its positions into target_ order, in
+  // place. Returns false when the sets differ.
+  bool ReuseFactor();
   // Rebuilds the dense basis inverse. Returns false when singular.
   bool Refactorize();
   void RecomputeBasicValues();
@@ -70,36 +87,82 @@ class SimplexImpl {
   // objective. Returns: 0 = no improving column, 1 = pivoted,
   // 2 = unbounded direction, 3 = singular refactorisation.
   int Iterate(bool phase1, bool bland);
-  void Ftran(int col, std::vector<double>* w) const;
-  // Reduced costs for all nonbasic columns under the given basic cost
-  // vector cb (indexed by basis position) and per-column costs `cost`
-  // (nullptr = all-zero, used by phase 1).
-  void PriceAll(const std::vector<double>& cb, const double* column_cost,
-                std::vector<double>* reduced) const;
+  // w_ = B^-1 * column col.
+  void Ftran(int col);
+  // reduced_ = reduced costs for all nonbasic columns under the basic
+  // cost vector cb_ (indexed by basis position) and per-column costs
+  // `column_cost` (nullptr = all-zero, used by phase 1).
+  void PriceAll(const double* column_cost);
 
   SimplexResult Finish(SolveStatus status);
 
-  const Model& model_;
   SimplexOptions options_;
+  const Model* model_ = nullptr;         // model of the current solve
+  const Model* synced_model_ = nullptr;  // model the columns came from
   Tableau t_;
+  // Rows the kept inverse t_.binv covers; -1 when it does not match
+  // t_.basis (no solve yet, or a singular pivot left it stale).
+  int factor_m_ = -1;
   int64_t iterations_ = 0;
   int64_t max_iterations_ = 0;
+  int64_t refactorizations_ = 0;
+  int64_t factor_reuses_ = 0;
   int pivots_since_refactor_ = 0;
+  // Product-form updates this solve made on top of the inverse it
+  // started from (or its last refactorization); keys the polish.
+  int solve_updates_ = 0;
   int degenerate_run_ = 0;
   double feas_tol_ = 1e-7;
   double opt_tol_ = 1e-7;
+
+  // Work buffers, sized on demand and kept across iterations and solves.
+  std::vector<int> target_;   // starting basis, ascending column order
+  std::vector<int> col_pos_;  // per column: position in the kept inverse
+  std::vector<int> src_pos_;  // per target position: kept position
+  std::vector<double> border_, column_;
+  std::vector<int> perm_;
+  std::vector<double> q_, cb_, y_, reduced_, w_;
 };
 
-void SimplexImpl::BuildTableau() {
-  const int n = model_.num_variables();
-  const int m = model_.num_rows();
-  t_.m = m;
-  t_.n_struct = n;
-  t_.n_total = n + m;
+void SimplexSolver::Engine::SyncModel(const Model& model) {
+  const int n = model.num_variables();
+  const int m = model.num_rows();
+  const bool same = synced_model_ == &model && n == t_.n_struct && m >= t_.m;
+  if (!same) factor_m_ = -1;
+  synced_model_ = &model;
+  if (!same || m != t_.m) {
+    t_.m = m;
+    t_.n_struct = n;
+    t_.n_total = n + m;
+    BuildColumns();
+    t_.state.resize(n + m, BasisState::kAtLower);
+    t_.value.resize(n + m, 0.0);
+    t_.basic_pos.assign(n + m, -1);
+    col_pos_.assign(n + m, -1);
+  }
 
+  t_.lb.resize(n + m);
+  t_.ub.resize(n + m);
+  for (int c = 0; c < n; ++c) {
+    t_.lb[c] = model.variable_lb(c);
+    t_.ub[c] = model.variable_ub(c);
+  }
+  for (int i = 0; i < m; ++i) {
+    t_.lb[n + i] = model.row_lb(i);
+    t_.ub[n + i] = model.row_ub(i);
+  }
+  t_.cost.assign(n + m, 0.0);
+  const double sense = model.sense() == Sense::kMaximize ? -1.0 : 1.0;
+  for (int c = 0; c < n; ++c) t_.cost[c] = sense * model.objective(c);
+}
+
+void SimplexSolver::Engine::BuildColumns() {
+  const Model& model = *model_;
+  const int n = t_.n_struct;
+  const int m = t_.m;
   std::vector<int> counts(n, 0);
   for (int r = 0; r < m; ++r) {
-    for (const auto& [var, coef] : model_.row_terms(r)) {
+    for (const auto& [var, coef] : model.row_terms(r)) {
       (void)coef;
       ++counts[var];
     }
@@ -116,7 +179,7 @@ void SimplexImpl::BuildTableau() {
   t_.entry_val.resize(nnz);
   std::vector<int> fill(n, 0);
   for (int r = 0; r < m; ++r) {
-    for (const auto& [var, coef] : model_.row_terms(r)) {
+    for (const auto& [var, coef] : model.row_terms(r)) {
       const int pos = t_.col_start[var] + fill[var]++;
       t_.entry_row[pos] = r;
       t_.entry_val[pos] = coef;
@@ -127,26 +190,9 @@ void SimplexImpl::BuildTableau() {
     t_.entry_row[pos] = i;
     t_.entry_val[pos] = -1.0;  // row activity - slack = 0
   }
-
-  t_.lb.resize(n + m);
-  t_.ub.resize(n + m);
-  for (int c = 0; c < n; ++c) {
-    t_.lb[c] = model_.variable_lb(c);
-    t_.ub[c] = model_.variable_ub(c);
-  }
-  for (int i = 0; i < m; ++i) {
-    t_.lb[n + i] = model_.row_lb(i);
-    t_.ub[n + i] = model_.row_ub(i);
-  }
-  t_.cost.assign(n + m, 0.0);
-  const double sense = model_.sense() == Sense::kMaximize ? -1.0 : 1.0;
-  for (int c = 0; c < n; ++c) t_.cost[c] = sense * model_.objective(c);
-  t_.state.assign(n + m, BasisState::kAtLower);
-  t_.value.assign(n + m, 0.0);
-  t_.basic_pos.assign(n + m, -1);
 }
 
-double SimplexImpl::NonbasicValue(int c) const {
+double SimplexSolver::Engine::NonbasicValue(int c) const {
   switch (t_.state[c]) {
     case BasisState::kAtLower:
       return t_.lb[c];
@@ -161,9 +207,8 @@ double SimplexImpl::NonbasicValue(int c) const {
   return 0.0;
 }
 
-void SimplexImpl::InstallSlackBasis() {
+void SimplexSolver::Engine::SetSlackStates() {
   const int n = t_.n_struct;
-  const int m = t_.m;
   for (int c = 0; c < n; ++c) {
     if (std::isfinite(t_.lb[c]) && std::isfinite(t_.ub[c])) {
       t_.state[c] = (std::abs(t_.lb[c]) <= std::abs(t_.ub[c]))
@@ -176,41 +221,43 @@ void SimplexImpl::InstallSlackBasis() {
     } else {
       t_.state[c] = BasisState::kFree;
     }
-    t_.basic_pos[c] = -1;
   }
-  t_.basis.resize(m);
-  for (int i = 0; i < m; ++i) {
-    const int slack = n + i;
-    t_.basis[i] = slack;
-    t_.state[slack] = BasisState::kBasic;
-    t_.basic_pos[slack] = i;
-  }
+  for (int i = 0; i < t_.m; ++i) t_.state[n + i] = BasisState::kBasic;
 }
 
-void SimplexImpl::InstallBasis() {
+void SimplexSolver::Engine::SetBasis(const std::vector<int>& basis) {
+  for (int col : t_.basis) {
+    if (col < t_.n_total) t_.basic_pos[col] = -1;
+  }
+  t_.basis = basis;
+  for (int i = 0; i < t_.m; ++i) t_.basic_pos[t_.basis[i]] = i;
+}
+
+void SimplexSolver::Engine::InstallSlackBasis() {
+  SetSlackStates();
+  target_.resize(t_.m);
+  for (int i = 0; i < t_.m; ++i) target_[i] = t_.n_struct + i;
+  SetBasis(target_);
+}
+
+void SimplexSolver::Engine::InstallBasis(
+    const std::vector<BasisState>* warm) {
   const int n = t_.n_struct;
   const int m = t_.m;
   bool warm_ok = false;
-  if (options_.warm_basis != nullptr) {
-    const std::vector<BasisState>& warm = *options_.warm_basis;
+  if (warm != nullptr) {
     // A warm basis may come from the same model with fewer rows (lazy
     // cuts appended since): pad by making the new slacks basic. Any
     // other size mismatch is rejected.
-    if (warm.size() >= static_cast<size_t>(n) &&
-        warm.size() <= static_cast<size_t>(n + m)) {
-      std::vector<BasisState> padded(warm);
-      padded.resize(static_cast<size_t>(n + m), BasisState::kBasic);
-      int basic_count = 0;
-      for (BasisState s : padded) basic_count += s == BasisState::kBasic;
+    if (warm->size() >= static_cast<size_t>(n) &&
+        warm->size() <= static_cast<size_t>(n + m)) {
+      const int given = static_cast<int>(warm->size());
+      int basic_count = n + m - given;
+      for (BasisState s : *warm) basic_count += s == BasisState::kBasic;
       if (basic_count == m) {
-        t_.basis.clear();
         for (int c = 0; c < n + m; ++c) {
-          t_.state[c] = padded[c];
-          if (t_.state[c] == BasisState::kBasic) {
-            t_.basic_pos[c] = static_cast<int>(t_.basis.size());
-            t_.basis.push_back(c);
-            continue;
-          }
+          t_.state[c] = c < given ? (*warm)[c] : BasisState::kBasic;
+          if (t_.state[c] == BasisState::kBasic) continue;
           // Nonbasic columns must rest on a finite bound; repair states
           // that no longer match the (possibly branched) bounds.
           if (t_.state[c] == BasisState::kAtLower &&
@@ -222,86 +269,165 @@ void SimplexImpl::InstallBasis() {
             t_.state[c] = std::isfinite(t_.lb[c]) ? BasisState::kAtLower
                                                   : BasisState::kFree;
           }
-          t_.basic_pos[c] = -1;
         }
         warm_ok = true;
       }
     }
   }
-  if (!warm_ok) InstallSlackBasis();
-  if (!Refactorize()) {
-    // Singular warm basis: fall back to the always-regular slack basis.
-    InstallSlackBasis();
-    const bool ok = Refactorize();
-    SQPR_CHECK(ok) << "slack basis cannot be singular";
+  if (!warm_ok) SetSlackStates();
+  // The order a fresh factorization uses: basic columns ascending.
+  target_.clear();
+  for (int c = 0; c < n + m; ++c) {
+    if (t_.state[c] == BasisState::kBasic) target_.push_back(c);
+  }
+
+  if (ReuseFactor()) {
+    ++factor_reuses_;
+  } else {
+    SetBasis(target_);
+    if (!Refactorize()) {
+      // Singular warm basis: fall back to the always-regular slack basis.
+      InstallSlackBasis();
+      const bool ok = Refactorize();
+      SQPR_CHECK(ok) << "slack basis cannot be singular";
+    }
   }
   RecomputeBasicValues();
 }
 
-bool SimplexImpl::Refactorize() {
+bool SimplexSolver::Engine::ReuseFactor() {
+  const int n = t_.n_struct;
   const int m = t_.m;
-  std::vector<double> mat(static_cast<size_t>(m) * m, 0.0);
-  for (int i = 0; i < m; ++i) {
-    const int col = t_.basis[i];
-    const int* rows;
-    const double* vals;
-    const int cnt = t_.ColEntries(col, &rows, &vals);
-    for (int k = 0; k < cnt; ++k) {
-      mat[static_cast<size_t>(i) * m + rows[k]] = vals[k];
+  const int old_m = factor_m_;
+  if (old_m < 0 || old_m > m) return false;
+  // Same basic set: every target column of an old row must be basic in
+  // the kept inverse; the remaining target columns are new-row slacks.
+  for (int i = 0; i < old_m; ++i) col_pos_[t_.basis[i]] = i;
+  int matched = 0;
+  bool same_set = true;
+  src_pos_.resize(m);
+  for (int p = 0; p < m; ++p) {
+    const int col = target_[p];
+    if (col >= n + old_m) {
+      src_pos_[p] = -1 - (col - n - old_m);  // new-row slack j: -1 - j
+      continue;
+    }
+    if (col_pos_[col] < 0) {
+      same_set = false;
+      break;
+    }
+    src_pos_[p] = col_pos_[col];
+    ++matched;
+  }
+  same_set = same_set && matched == old_m;
+  if (same_set && old_m < m) {
+    // Border rows R B^-1 of the appended rows: border_[j*old_m + c].
+    const int k = m - old_m;
+    border_.assign(static_cast<size_t>(k) * old_m, 0.0);
+    for (int j = 0; j < k; ++j) {
+      double* out = border_.data() + static_cast<size_t>(j) * old_m;
+      for (const auto& [var, coef] : model_->row_terms(old_m + j)) {
+        const int i = col_pos_[var];
+        if (i < 0) continue;
+        for (int c = 0; c < old_m; ++c) {
+          out[c] += coef * t_.binv[static_cast<size_t>(c) * old_m + i];
+        }
+      }
     }
   }
-  t_.binv.assign(static_cast<size_t>(m) * m, 0.0);
-  for (int i = 0; i < m; ++i) t_.binv[static_cast<size_t>(i) * m + i] = 1.0;
+  for (int i = 0; i < old_m; ++i) col_pos_[t_.basis[i]] = -1;
+  if (!same_set) return false;
 
-  // Gauss-Jordan with partial pivoting; mat and binv share row ops.
-  std::vector<int> perm(m);
-  for (int i = 0; i < m; ++i) perm[i] = i;
+  // Rewrite in place, last column first: column c moves from offset
+  // c*old_m to c*m >= c*old_m, never over a column still to be read.
+  // Position p takes the kept position's entry, or the border row of a
+  // new-row slack; the appended columns are -1 on their own slack.
+  t_.binv.resize(static_cast<size_t>(m) * m);
+  column_.resize(old_m);
+  for (int c = old_m - 1; c >= 0; --c) {
+    const double* src = t_.binv.data() + static_cast<size_t>(c) * old_m;
+    std::copy(src, src + old_m, column_.begin());
+    double* out = t_.binv.data() + static_cast<size_t>(c) * m;
+    for (int p = 0; p < m; ++p) {
+      const int sp = src_pos_[p];
+      out[p] = sp >= 0 ? column_[sp]
+                       : border_[static_cast<size_t>(-1 - sp) * old_m + c];
+    }
+  }
+  for (int c = old_m; c < m; ++c) {
+    double* out = t_.binv.data() + static_cast<size_t>(c) * m;
+    for (int p = 0; p < m; ++p) out[p] = target_[p] == n + c ? -1.0 : 0.0;
+  }
+  SetBasis(target_);
+  factor_m_ = m;
+  return true;
+}
+
+bool SimplexSolver::Engine::Refactorize() {
+  const int m = t_.m;
+  ++refactorizations_;
+  factor_m_ = -1;
+  // Gauss-Jordan with partial pivoting, in place: binv starts as the
+  // basis matrix and ends as its inverse. Step k swaps its pivot row
+  // into row k; the swaps are undone as column swaps at the end.
+  std::vector<double>& a = t_.binv;
+  a.assign(static_cast<size_t>(m) * m, 0.0);
+  for (int i = 0; i < m; ++i) {
+    const int* rows;
+    const double* vals;
+    const int cnt = t_.ColEntries(t_.basis[i], &rows, &vals);
+    for (int k = 0; k < cnt; ++k) {
+      a[static_cast<size_t>(i) * m + rows[k]] = vals[k];
+    }
+  }
+  perm_.resize(m);
   for (int k = 0; k < m; ++k) {
+    double* pivot_col = a.data() + static_cast<size_t>(k) * m;
     int piv = -1;
     double best = kPivotTol;
-    for (int r = 0; r < m; ++r) {
-      if (perm[r] < 0) continue;
-      const double v = std::abs(mat[static_cast<size_t>(k) * m + r]);
-      if (v > best) {
-        best = v;
+    for (int r = k; r < m; ++r) {
+      if (std::abs(pivot_col[r]) > best) {
+        best = std::abs(pivot_col[r]);
         piv = r;
       }
     }
     if (piv < 0) return false;  // numerically singular basis
-    perm[piv] = -1;
-    const double p = mat[static_cast<size_t>(k) * m + piv];
-    for (int c = 0; c < m; ++c) {
-      mat[static_cast<size_t>(c) * m + piv] /= p;
-      t_.binv[static_cast<size_t>(c) * m + piv] /= p;
-    }
-    for (int r = 0; r < m; ++r) {
-      if (r == piv) continue;
-      const double f = mat[static_cast<size_t>(k) * m + r];
-      if (f == 0.0) continue;
-      for (int c = 0; c < m; ++c) {
-        mat[static_cast<size_t>(c) * m + r] -=
-            f * mat[static_cast<size_t>(c) * m + piv];
-        t_.binv[static_cast<size_t>(c) * m + r] -=
-            f * t_.binv[static_cast<size_t>(c) * m + piv];
-      }
-    }
+    perm_[k] = piv;
     if (piv != k) {
       for (int c = 0; c < m; ++c) {
-        std::swap(mat[static_cast<size_t>(c) * m + piv],
-                  mat[static_cast<size_t>(c) * m + k]);
-        std::swap(t_.binv[static_cast<size_t>(c) * m + piv],
-                  t_.binv[static_cast<size_t>(c) * m + k]);
+        std::swap(a[static_cast<size_t>(c) * m + piv],
+                  a[static_cast<size_t>(c) * m + k]);
       }
-      std::swap(perm[piv], perm[k]);
+    }
+    const double p = pivot_col[k];
+    pivot_col[k] = 1.0;
+    for (int c = 0; c < m; ++c) a[static_cast<size_t>(c) * m + k] /= p;
+    for (int r = 0; r < m; ++r) {
+      if (r == k) continue;
+      const double f = pivot_col[r];
+      if (f == 0.0) continue;
+      pivot_col[r] = 0.0;
+      for (int c = 0; c < m; ++c) {
+        a[static_cast<size_t>(c) * m + r] -=
+            f * a[static_cast<size_t>(c) * m + k];
+      }
     }
   }
+  for (int k = m - 1; k >= 0; --k) {
+    if (perm_[k] == k) continue;
+    double* col = a.data() + static_cast<size_t>(k) * m;
+    std::swap_ranges(col, col + m,
+                     a.data() + static_cast<size_t>(perm_[k]) * m);
+  }
   pivots_since_refactor_ = 0;
+  solve_updates_ = 0;
+  factor_m_ = m;
   return true;
 }
 
-void SimplexImpl::RecomputeBasicValues() {
+void SimplexSolver::Engine::RecomputeBasicValues() {
   const int m = t_.m;
-  std::vector<double> q(m, 0.0);
+  q_.assign(m, 0.0);
   for (int c = 0; c < t_.n_total; ++c) {
     if (t_.state[c] == BasisState::kBasic) continue;
     const double v = NonbasicValue(c);
@@ -310,18 +436,18 @@ void SimplexImpl::RecomputeBasicValues() {
     const int* rows;
     const double* vals;
     const int cnt = t_.ColEntries(c, &rows, &vals);
-    for (int k = 0; k < cnt; ++k) q[rows[k]] += vals[k] * v;
+    for (int k = 0; k < cnt; ++k) q_[rows[k]] += vals[k] * v;
   }
   for (int i = 0; i < m; ++i) {
     double acc = 0.0;
     for (int c = 0; c < m; ++c) {
-      acc += t_.binv[static_cast<size_t>(c) * m + i] * q[c];
+      acc += t_.binv[static_cast<size_t>(c) * m + i] * q_[c];
     }
     t_.value[t_.basis[i]] = -acc;
   }
 }
 
-double SimplexImpl::Infeasibility() const {
+double SimplexSolver::Engine::Infeasibility() const {
   double total = 0.0;
   for (int i = 0; i < t_.m; ++i) {
     const int c = t_.basis[i];
@@ -331,31 +457,29 @@ double SimplexImpl::Infeasibility() const {
   return total;
 }
 
-void SimplexImpl::Ftran(int col, std::vector<double>* w) const {
+void SimplexSolver::Engine::Ftran(int col) {
   const int m = t_.m;
-  w->assign(m, 0.0);
+  w_.assign(m, 0.0);
   const int* rows;
   const double* vals;
   const int cnt = t_.ColEntries(col, &rows, &vals);
   for (int k = 0; k < cnt; ++k) {
     const double a = vals[k];
     const double* bcol = t_.binv.data() + static_cast<size_t>(rows[k]) * m;
-    for (int i = 0; i < m; ++i) (*w)[i] += a * bcol[i];
+    for (int i = 0; i < m; ++i) w_[i] += a * bcol[i];
   }
 }
 
-void SimplexImpl::PriceAll(const std::vector<double>& cb,
-                           const double* column_cost,
-                           std::vector<double>* reduced) const {
+void SimplexSolver::Engine::PriceAll(const double* column_cost) {
   const int m = t_.m;
-  std::vector<double> y(m, 0.0);
+  y_.resize(m);
   for (int c = 0; c < m; ++c) {
     const double* bcol = t_.binv.data() + static_cast<size_t>(c) * m;
     double acc = 0.0;
-    for (int i = 0; i < m; ++i) acc += cb[i] * bcol[i];
-    y[c] = acc;
+    for (int i = 0; i < m; ++i) acc += cb_[i] * bcol[i];
+    y_[c] = acc;
   }
-  reduced->assign(t_.n_total, 0.0);
+  reduced_.assign(t_.n_total, 0.0);
   for (int c = 0; c < t_.n_total; ++c) {
     if (t_.state[c] == BasisState::kBasic) continue;
     if (t_.lb[c] == t_.ub[c]) continue;  // fixed: never enters, skip price
@@ -363,17 +487,18 @@ void SimplexImpl::PriceAll(const std::vector<double>& cb,
     const double* vals;
     const int cnt = t_.ColEntries(c, &rows, &vals);
     double dot = 0.0;
-    for (int k = 0; k < cnt; ++k) dot += y[rows[k]] * vals[k];
-    (*reduced)[c] = (column_cost != nullptr ? column_cost[c] : 0.0) - dot;
+    for (int k = 0; k < cnt; ++k) dot += y_[rows[k]] * vals[k];
+    reduced_[c] = (column_cost != nullptr ? column_cost[c] : 0.0) - dot;
   }
 }
 
-int SimplexImpl::Iterate(bool phase1, bool bland) {
+int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
   const int m = t_.m;
 
   // Basic cost vector: the composite phase-1 gradient (+1 above ub, -1
   // below lb) or the phase-2 objective restricted to the basis.
-  std::vector<double> cb(m);
+  std::vector<double>& cb = cb_;
+  cb.resize(m);
   if (phase1) {
     for (int i = 0; i < m; ++i) {
       const int c = t_.basis[i];
@@ -388,8 +513,8 @@ int SimplexImpl::Iterate(bool phase1, bool bland) {
   } else {
     for (int i = 0; i < m; ++i) cb[i] = t_.cost[t_.basis[i]];
   }
-  std::vector<double> reduced;
-  PriceAll(cb, phase1 ? nullptr : t_.cost.data(), &reduced);
+  PriceAll(phase1 ? nullptr : t_.cost.data());
+  const std::vector<double>& reduced = reduced_;
 
   int enter = -1;
   int enter_dir = 0;
@@ -421,8 +546,8 @@ int SimplexImpl::Iterate(bool phase1, bool bland) {
   }
   if (enter < 0) return 0;  // no improving column for this phase
 
-  std::vector<double> w;
-  Ftran(enter, &w);
+  Ftran(enter);
+  const std::vector<double>& w = w_;
 
   // Two-pass (Harris-style) ratio test. Out-of-bounds basic variables
   // (phase 1) contribute a breakpoint where they *reach* their violated
@@ -528,7 +653,10 @@ int SimplexImpl::Iterate(bool phase1, bool bland) {
   t_.value[enter] = enter_val;
 
   const double piv = w[leave_pos];
-  if (std::abs(piv) < kPivotTol / 10) return 3;
+  if (std::abs(piv) < kPivotTol / 10) {
+    factor_m_ = -1;  // the basis moved on without its inverse
+    return 3;
+  }
   for (int c = 0; c < m; ++c) {
     double* bcol = t_.binv.data() + static_cast<size_t>(c) * m;
     const double pr = bcol[leave_pos] / piv;
@@ -540,6 +668,7 @@ int SimplexImpl::Iterate(bool phase1, bool bland) {
     bcol[leave_pos] = pr;
   }
 
+  ++solve_updates_;
   if (++pivots_since_refactor_ >= options_.refactor_interval) {
     if (Refactorize()) {
       RecomputeBasicValues();
@@ -550,22 +679,34 @@ int SimplexImpl::Iterate(bool phase1, bool bland) {
   return 1;
 }
 
-SimplexResult SimplexImpl::Finish(SolveStatus status) {
+SimplexResult SimplexSolver::Engine::Finish(SolveStatus status) {
   SimplexResult result;
   result.status = status;
   result.iterations = iterations_;
   result.values.assign(t_.value.begin(), t_.value.begin() + t_.n_struct);
-  result.objective = model_.ObjectiveValue(result.values);
+  result.objective = model_->ObjectiveValue(result.values);
   result.basis_state = t_.state;
+  result.refactorizations = refactorizations_;
+  result.factor_reuses = factor_reuses_;
   return result;
 }
 
-SimplexResult SimplexImpl::Run() {
+SimplexResult SimplexSolver::Engine::Solve(
+    const Model& model, const std::vector<BasisState>* warm_basis) {
+  model_ = &model;
+  iterations_ = 0;
+  refactorizations_ = 0;
+  factor_reuses_ = 0;
+  degenerate_run_ = 0;
+  solve_updates_ = 0;
   feas_tol_ = options_.feasibility_tol;
   opt_tol_ = options_.optimality_tol;
-  BuildTableau();
-  InstallBasis();
+  SyncModel(model);
+  InstallBasis(warm_basis);
+  return Run();
+}
 
+SimplexResult SimplexSolver::Engine::Run() {
   max_iterations_ = options_.max_iterations > 0
                         ? options_.max_iterations
                         : 200LL * (t_.m + t_.n_struct) + 2000;
@@ -595,7 +736,7 @@ SimplexResult SimplexImpl::Run() {
       // when enough product-form updates have accumulated to matter;
       // warm-started solves typically finish in a handful of pivots on a
       // freshly factorised basis.
-      if (pivots_since_refactor_ < 20) return Finish(SolveStatus::kOptimal);
+      if (solve_updates_ < 20) return Finish(SolveStatus::kOptimal);
       if (Refactorize()) {
         RecomputeBasicValues();
         if (Infeasibility() > feas_tol_ * 100) {
@@ -624,8 +765,6 @@ SimplexResult SimplexImpl::Run() {
   }
 }
 
-}  // namespace
-
 const char* SolveStatusName(SolveStatus status) {
   switch (status) {
     case SolveStatus::kOptimal:
@@ -642,10 +781,19 @@ const char* SolveStatusName(SolveStatus status) {
   return "Unknown";
 }
 
+SimplexSolver::SimplexSolver(SimplexOptions options)
+    : engine_(std::make_unique<Engine>(options)) {}
+
+SimplexSolver::~SimplexSolver() = default;
+
 SimplexResult SimplexSolver::Solve(const Model& model) {
+  return Solve(model, engine_->options().warm_basis);
+}
+
+SimplexResult SimplexSolver::Solve(
+    const Model& model, const std::vector<BasisState>* warm_basis) {
   SQPR_TRACE_SPAN_ARGS(span, "lp/simplex", "iterations", "rows");
-  SimplexImpl impl(model, options_);
-  SimplexResult result = impl.Run();
+  SimplexResult result = engine_->Solve(model, warm_basis);
   span.set_args(static_cast<uint64_t>(result.iterations),
                 static_cast<uint64_t>(model.num_rows()));
   return result;

@@ -2,6 +2,7 @@
 #define SQPR_LP_SIMPLEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/deadline.h"
@@ -40,11 +41,12 @@ struct SimplexOptions {
   double optimality_tol = 1e-7;
   /// Rebuild the basis inverse from scratch every this many pivots.
   int refactor_interval = 100;
-  /// Optional starting basis (from a previous solve of a closely related
-  /// model, e.g. the parent branch-and-bound node). Must describe the
-  /// same columns; extra trailing rows (lazy cuts added since) are
-  /// padded with basic slacks. A singular or mismatched warm basis falls
-  /// back to the slack basis silently. The pointee must outlive Solve().
+  /// Optional starting basis for Solve(model) (from a previous solve of
+  /// a closely related model, e.g. the parent branch-and-bound node).
+  /// Must describe the same columns; extra trailing rows (lazy cuts added
+  /// since) are padded with basic slacks. A singular or mismatched warm
+  /// basis falls back to the slack basis silently. The pointee must
+  /// outlive Solve().
   const std::vector<BasisState>* warm_basis = nullptr;
 };
 
@@ -60,6 +62,15 @@ struct SimplexResult {
   /// Final basis, reusable as SimplexOptions::warm_basis for subsequent
   /// related solves.
   std::vector<BasisState> basis_state;
+  /// Fresh O(m^3) basis-inverse factorizations this solve performed: the
+  /// starting basis when no kept factorization matched it, every
+  /// refactor_interval pivots, the optimality polish, singular-basis
+  /// recovery.
+  int64_t refactorizations = 0;
+  /// 1 when the starting basis reused a factorization the solver kept
+  /// from an earlier solve (re-ordered, and bordered with appended rows,
+  /// in O(m^2)) instead of refactorizing; 0 otherwise.
+  int64_t factor_reuses = 0;
 };
 
 /// Two-phase bounded-variable revised primal simplex with a dense basis
@@ -75,21 +86,41 @@ struct SimplexResult {
 ///    run of degenerate pivots (anti-cycling);
 ///  * bound flips are handled without basis changes;
 ///  * the basis inverse is maintained column-major via product-form
-///    updates and rebuilt by Gauss-Jordan every refactor_interval pivots.
+///    updates and rebuilt in place by Gauss-Jordan every
+///    refactor_interval pivots.
 ///
-/// The solver is stateless across calls, but callers can chain solves
-/// cheaply by passing the previous SimplexResult::basis_state as the
-/// next SimplexOptions::warm_basis — branch-and-bound node re-solves
-/// then typically take a handful of iterations instead of hundreds.
+/// One solver is one persistent engine: it keeps its column storage, its
+/// basis with the inverse, and its work buffers between Solve() calls.
+/// Consecutive solves must pass the same Model object, changed only in
+/// variable/row bounds, objective coefficients and appended rows — the
+/// branch-and-bound contract (node bounds, cut and lazy rows). A solve
+/// whose starting basis has the same basic set as the kept inverse
+/// reuses it: appended rows (whose slacks start basic) border it as
+/// [[B^-1, 0], [R B^-1, -I]], and its positions are re-ordered to what a
+/// fresh factorization would use, so pricing and ratio-test ties break
+/// as on a cold start. Any other starting basis is refactorized. A
+/// different Model object or column count resets the engine, so a solver
+/// used once is exactly a one-shot solve.
+///
+/// Chain solves by passing the previous SimplexResult::basis_state as the
+/// next starting basis — branch-and-bound node re-solves then take a
+/// handful of iterations and no O(m^3) refactorization.
 class SimplexSolver {
  public:
-  explicit SimplexSolver(SimplexOptions options = {}) : options_(options) {}
+  explicit SimplexSolver(SimplexOptions options = {});
+  ~SimplexSolver();
 
-  /// Solves the LP. The model is read-only.
+  /// Solves the LP from SimplexOptions::warm_basis. The model is
+  /// read-only.
   SimplexResult Solve(const Model& model);
+  /// Solves the LP from `warm_basis` (nullptr: the slack basis), which
+  /// only needs to live for the call.
+  SimplexResult Solve(const Model& model,
+                      const std::vector<BasisState>* warm_basis);
 
  private:
-  SimplexOptions options_;
+  class Engine;
+  std::unique_ptr<Engine> engine_;
 };
 
 }  // namespace lp

@@ -82,7 +82,25 @@ Result<Model> ReadMpsFromString(const std::string& text) {
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    if (line.empty() || line[0] == '*') continue;  // comment
+    if (line.empty()) continue;
+    if (line[0] == '*') {  // comment, or a branching-priority line
+      std::vector<std::string> tok = Tokenize(line);
+      if (tok.size() < 2 || tok[0] != "*" || tok[1] != "PRIORITY") continue;
+      if (tok.size() != 4) {
+        return ParseError(line_no, "PRIORITY wants column + integer");
+      }
+      auto col_it = col_index.find(tok[2]);
+      if (col_it == col_index.end()) {
+        return ParseError(line_no, "unknown column '" + tok[2] + "'");
+      }
+      Result<double> v = ParseNumber(tok[3], line_no);
+      if (!v.ok()) return v.status();
+      if (*v != std::floor(*v) || std::abs(*v) > 1e9) {
+        return ParseError(line_no, "bad priority '" + tok[3] + "'");
+      }
+      model.branch_priority[col_it->second] = static_cast<int>(*v);
+      continue;
+    }
     const bool is_header = !std::isspace(static_cast<unsigned char>(line[0]));
     std::vector<std::string> tok = Tokenize(line);
     if (tok.empty()) continue;
@@ -418,6 +436,13 @@ std::string WriteMpsToString(const Model& model) {
       out << " UP bnd " << name << " " << Num(ub) << "\n";
     } else if (model.integer[v]) {
       out << " PL bnd " << name << "\n";  // undo the INTORG [0,1] default
+    }
+  }
+  for (int v = 0; v < n && v < static_cast<int>(model.branch_priority.size());
+       ++v) {
+    if (model.branch_priority[v] != 0) {
+      out << "* PRIORITY " << col_names[v] << " " << model.branch_priority[v]
+          << "\n";
     }
   }
   out << "ENDATA\n";

@@ -20,7 +20,11 @@ namespace milp {
 ///  * `MARKER` lines with `'INTORG'`/`'INTEND'` delimiting integer
 ///    columns;
 ///  * `RANGES` turning a one-sided row into an interval row;
-///  * `BOUNDS` types UP, LO, FX, FR, MI, PL, BV, UI, LI.
+///  * `BOUNDS` types UP, LO, FX, FR, MI, PL, BV, UI, LI;
+///  * `* PRIORITY <column> <n>` lines carrying Model::branch_priority.
+///    MPS has no section for it (CPLEX keeps priorities in a separate
+///    .ord file); as comment lines they are skipped by other readers,
+///    and a replayed model runs the same search as the original.
 ///
 /// The LP-format writer produces human-readable `Maximize/Subject To/
 /// Bounds/Generals` text for eyeballing small reduced models; it is

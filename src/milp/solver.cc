@@ -30,6 +30,12 @@ struct Node {
   int depth = 0;
 };
 
+/// SQPR_MILP_DEBUG traces the search on stderr; read once per process.
+bool DebugEnabled() {
+  static const bool enabled = std::getenv("SQPR_MILP_DEBUG") != nullptr;
+  return enabled;
+}
+
 struct QueueEntry {
   double bound;
   int node;
@@ -41,7 +47,14 @@ struct QueueEntry {
 class BranchAndBound {
  public:
   BranchAndBound(const Model& model, const SolverOptions& options)
-      : base_(model), options_(options), work_(model.lp) {}
+      : base_(model),
+        options_(options),
+        work_(model.lp),
+        lp_([&] {
+          lp::SimplexOptions lp_options = options.lp_options;
+          lp_options.deadline = options.deadline;
+          return lp_options;
+        }()) {}
 
   /// Installs a starting basis for the first (root) LP solve. The caller
   /// is responsible for compatibility (Solver::Solve gates on the
@@ -74,10 +87,20 @@ class BranchAndBound {
   // tight per-query timeouts.
   void DivingHeuristic(const std::vector<double>& start);
   double QueueBestBound() const;
+  // Solves the relaxation work_ on the search's LP engine from `warm`
+  // (empty: lp_options.warm_basis, by default the slack basis) and
+  // counts the work.
+  lp::SimplexResult SolveRelaxation(const std::vector<lp::BasisState>& warm);
 
   const Model& base_;
   SolverOptions options_;
   lp::Model work_;  // mutable copy; lazy cuts append rows here
+  // The one LP engine of this search (root, nodes, cut re-solves, dive):
+  // it keeps work_'s columns and its basis inverse between solves, so a
+  // node re-solve only takes in bound changes and appended rows instead
+  // of refactorizing. Scoped to the search, so no state crosses solves,
+  // threads or replays.
+  lp::SimplexSolver lp_;
   // Basis of the most recently solved relaxation; used to warm-start the
   // next node/dive LP (plunging makes consecutive LPs near-identical).
   std::vector<lp::BasisState> last_basis_;
@@ -93,7 +116,9 @@ class BranchAndBound {
   double root_bound_ = lp::kInf;
   int64_t nodes_ = 0;
   int64_t lp_iterations_ = 0;
-  int plunge_child_ = -1;
+  int64_t lp_solves_ = 0;
+  int64_t lp_refactorizations_ = 0;
+  int64_t lp_factor_reuses_ = 0;
 };
 
 void BranchAndBound::ApplyBounds(int node) {
@@ -176,6 +201,17 @@ double BranchAndBound::QueueBestBound() const {
   return open_.empty() ? -lp::kInf : open_.top().bound;
 }
 
+lp::SimplexResult BranchAndBound::SolveRelaxation(
+    const std::vector<lp::BasisState>& warm) {
+  lp::SimplexResult rel = warm.empty() ? lp_.Solve(work_)
+                                       : lp_.Solve(work_, &warm);
+  ++lp_solves_;
+  lp_iterations_ += rel.iterations;
+  lp_refactorizations_ += rel.refactorizations;
+  lp_factor_reuses_ += rel.factor_reuses;
+  return rel;
+}
+
 void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
   SQPR_TRACE_SPAN("milp/dive");
   const int n = base_.lp.num_variables();
@@ -186,8 +222,6 @@ void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
     saved[v] = {work_.variable_lb(v), work_.variable_ub(v)};
   }
   std::vector<double> x = start;
-  lp::SimplexOptions lp_opts = options_.lp_options;
-  lp_opts.deadline = options_.deadline;
   std::vector<lp::BasisState> dive_basis = last_basis_;
 
   const int max_rounds = 2 * n + 10;
@@ -226,19 +260,12 @@ void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
       work_.SetVariableBounds(frac_var, rounded_to, rounded_to);
     }
 
-    if (!dive_basis.empty()) lp_opts.warm_basis = &dive_basis;
-    lp::SimplexSolver lp_solver(lp_opts);
-    lp::SimplexResult rel = lp_solver.Solve(work_);
-    lp_iterations_ += rel.iterations;
+    lp::SimplexResult rel = SolveRelaxation(dive_basis);
     for (int pass = 0; pass < 3 && rel.status == lp::SolveStatus::kOptimal &&
                        options_.lazy != nullptr;
          ++pass) {
       if (options_.lazy->AddFractionalCuts(rel.values, &work_) == 0) break;
-      std::vector<lp::BasisState> keep = rel.basis_state;
-      lp_opts.warm_basis = &keep;
-      lp::SimplexSolver cut_solver(lp_opts);
-      rel = cut_solver.Solve(work_);
-      lp_iterations_ += rel.iterations;
+      rel = SolveRelaxation(rel.basis_state);
     }
     if (rel.status == lp::SolveStatus::kInfeasible && frac_var >= 0) {
       // The rounding direction broke feasibility: try the other side
@@ -247,10 +274,9 @@ void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
           rounded_to > x[frac_var] ? std::floor(x[frac_var])
                                    : std::ceil(x[frac_var]);
       work_.SetVariableBounds(frac_var, flipped, flipped);
-      rel = lp_solver.Solve(work_);
-      lp_iterations_ += rel.iterations;
+      rel = SolveRelaxation(dive_basis);
     }
-    if (getenv("SQPR_MILP_DEBUG")) {
+    if (DebugEnabled()) {
       fprintf(stderr, "[dive] round=%d status=%s iters=%lld obj=%.3f\n",
               round, lp::SolveStatusName(rel.status),
               (long long)rel.iterations, rel.objective);
@@ -264,7 +290,7 @@ void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
         cuts_ok = options_.lazy->AddViolatedCuts(x, &work_) == 0;
       }
       const Status feas = work_.CheckFeasible(x, 1e-5);
-      if (getenv("SQPR_MILP_DEBUG")) {
+      if (DebugEnabled()) {
         fprintf(stderr, "[dive] integral cuts_ok=%d feas=%s obj=%.3f\n",
                 cuts_ok, feas.ToString().c_str(), rel.objective);
       }
@@ -289,12 +315,7 @@ int BranchAndBound::ProcessNode(int node_index) {
   ++nodes_;
   ApplyBounds(node_index);
 
-  lp::SimplexOptions lp_opts = options_.lp_options;
-  lp_opts.deadline = options_.deadline;
-  if (!last_basis_.empty()) lp_opts.warm_basis = &last_basis_;
-  lp::SimplexSolver lp_solver(lp_opts);
-  lp::SimplexResult rel = lp_solver.Solve(work_);
-  lp_iterations_ += rel.iterations;
+  lp::SimplexResult rel = SolveRelaxation(last_basis_);
   if (node_index == 0 && rel.status == lp::SolveStatus::kOptimal) {
     // Harvest the root basis before any cut rows land: the next solve of
     // this structure will carry different cut rows, and the simplex pads
@@ -308,14 +329,7 @@ int BranchAndBound::ProcessNode(int node_index) {
                      options_.lazy != nullptr;
        ++pass) {
     if (options_.lazy->AddFractionalCuts(rel.values, &work_) == 0) break;
-    lp::SimplexOptions cut_opts = options_.lp_options;
-    cut_opts.deadline = options_.deadline;
-    cut_opts.warm_basis = &rel.basis_state;
-    std::vector<lp::BasisState> keep = rel.basis_state;
-    cut_opts.warm_basis = &keep;
-    lp::SimplexSolver cut_solver(cut_opts);
-    rel = cut_solver.Solve(work_);
-    lp_iterations_ += rel.iterations;
+    rel = SolveRelaxation(rel.basis_state);
   }
   if (rel.status == lp::SolveStatus::kOptimal) {
     last_basis_ = std::move(rel.basis_state);
@@ -355,19 +369,13 @@ int BranchAndBound::ProcessNode(int node_index) {
       ++cut_rounds;
       cuts_added += static_cast<uint64_t>(separated);
       cut_span.set_args(cut_rounds, cuts_added);
-      lp::SimplexOptions cut_opts = options_.lp_options;
-      cut_opts.deadline = options_.deadline;
-      std::vector<lp::BasisState> keep = rel.basis_state;
-      cut_opts.warm_basis = &keep;
-      lp::SimplexSolver cut_solver(cut_opts);
-      lp::SimplexResult tightened = cut_solver.Solve(work_);
-      lp_iterations_ += tightened.iterations;
+      lp::SimplexResult tightened = SolveRelaxation(rel.basis_state);
       if (tightened.status != lp::SolveStatus::kOptimal) break;
       rel = std::move(tightened);
       arena_[node_index].bound = rel.objective;
       if (IsIntegral(rel.values)) break;
     }
-    if (getenv("SQPR_MILP_DEBUG")) {
+    if (DebugEnabled()) {
       fprintf(stderr, "[cuts] gomory=%d cover=%d root bound %.4f\n",
               cg.total_gomory(), cg.total_cover(), rel.objective);
     }
@@ -405,7 +413,7 @@ int BranchAndBound::ProcessNode(int node_index) {
     const Status feas = work_.CheckFeasible(x, 1e-5);
     if (feas.ok()) {
       MaybeUpdateIncumbent(x, rel.objective);
-    } else if (getenv("SQPR_MILP_DEBUG")) {
+    } else if (DebugEnabled()) {
       fprintf(stderr, "[milp] integral candidate rejected: %s\n",
               feas.ToString().c_str());
     }
@@ -414,7 +422,7 @@ int BranchAndBound::ProcessNode(int node_index) {
 
   const int branch_var = PickBranchVariable(x);
   if (branch_var < 0) return -1;  // only sub-tolerance fractionality left
-  if (getenv("SQPR_MILP_DEBUG") && nodes_ < 60) {
+  if (DebugEnabled() && nodes_ < 60) {
     fprintf(stderr, "[milp] node=%lld depth=%d bound=%.4f branch %s=%.4f\n",
             (long long)nodes_, arena_[node_index].depth, node_bound,
             work_.variable_name(branch_var).c_str(), x[branch_var]);
@@ -499,6 +507,9 @@ MipResult BranchAndBound::Run() {
 
   result.nodes = nodes_;
   result.lp_iterations = lp_iterations_;
+  result.lp_solves = lp_solves_;
+  result.lp_refactorizations = lp_refactorizations_;
+  result.lp_factor_reuses = lp_factor_reuses_;
   result.wall_ms = watch.ElapsedMillis();
   result.root_basis = root_basis_;
 
@@ -656,7 +667,7 @@ MipResult Solver::Solve(const Model& model, const SolverOptions& caller_options)
     pre_span.set_args(static_cast<uint64_t>(pstats.fixed_columns),
                       static_cast<uint64_t>(pstats.removed_rows));
   }
-  if (getenv("SQPR_MILP_DEBUG")) {
+  if (DebugEnabled()) {
     fprintf(stderr,
             "[presolve] cols %d->%d rows %d->%d (fixed=%d removed=%d "
             "tightened=%d rounds=%d infeasible=%d)\n",

@@ -139,6 +139,12 @@ struct MipResult {
   double best_bound = 0.0;
   int64_t nodes = 0;
   int64_t lp_iterations = 0;
+  /// LP relaxation solves (nodes, cut re-solves, dive steps) and their
+  /// summed lp::SimplexResult work counters: machine-independent measures
+  /// of the LP engine's cost per search.
+  int64_t lp_solves = 0;
+  int64_t lp_refactorizations = 0;
+  int64_t lp_factor_reuses = 0;
   double wall_ms = 0.0;
   /// True when the search stopped because the (effective) deadline
   /// expired — as opposed to the node limit or a proven optimum. The

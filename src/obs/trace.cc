@@ -152,12 +152,12 @@ struct TraceRecorder::Impl {
   // Pending name for a thread that called SetCurrentThreadName before
   // emitting its first span (buffer not created yet).
   thread_local static ThreadBuffer* tl_buffer;
-  thread_local static std::string* tl_pending_name;
+  thread_local static std::string tl_pending_name;  // empty: none
 };
 
 thread_local TraceRecorder::ThreadBuffer* TraceRecorder::Impl::tl_buffer =
     nullptr;
-thread_local std::string* TraceRecorder::Impl::tl_pending_name = nullptr;
+thread_local std::string TraceRecorder::Impl::tl_pending_name;
 
 TraceRecorder::TraceRecorder() : impl_(new Impl) {
   base_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
@@ -215,20 +215,16 @@ void TraceRecorder::SetCurrentThreadName(const std::string& name) {
     Impl::tl_buffer->set_name(name);
     return;
   }
-  // Buffer not created yet (lazy): stash for creation time. The string
-  // is leaked with the thread_local pointer — bounded by thread count.
-  if (Impl::tl_pending_name == nullptr) {
-    Impl::tl_pending_name = new std::string();
-  }
-  *Impl::tl_pending_name = name;
+  // Buffer not created yet (lazy): stash for creation time.
+  Impl::tl_pending_name = name;
 }
 
 TraceRecorder::ThreadBuffer* TraceRecorder::BufferForThisThread() {
   if (Impl::tl_buffer != nullptr) return Impl::tl_buffer;
   std::lock_guard<std::mutex> lock(impl_->mu);
   const uint32_t tid = impl_->next_tid++;
-  std::string name = Impl::tl_pending_name != nullptr
-                         ? *Impl::tl_pending_name
+  std::string name = !Impl::tl_pending_name.empty()
+                         ? Impl::tl_pending_name
                          : "thread-" + std::to_string(tid);
   impl_->buffers.push_back(std::make_unique<ThreadBuffer>(
       tid, std::move(name), impl_->options.per_thread_capacity));

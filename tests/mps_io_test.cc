@@ -128,6 +128,29 @@ TEST(MpsReadTest, ReportsErrorsWithLineNumbers) {
   EXPECT_NE(bad_num.message().find("bad number"), std::string::npos);
 }
 
+TEST(MpsReadTest, BranchPrioritiesRoundTrip) {
+  Model m;
+  m.AddVariable(0.0, 1.0, 3.0, true, "admit", /*priority=*/3);
+  m.AddVariable(0.0, 1.0, 1.0, true, "place", /*priority=*/-1);
+  m.AddVariable(0.0, 4.0, 0.5, false, "flow");
+  m.lp.AddRow(-lp::kInf, 1.0, {{0, 1.0}, {1, 1.0}, {2, 0.25}}, "cap");
+  const std::string text = WriteMpsToString(m);
+  Result<Model> reread = ReadMpsFromString(text);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString() << "\n" << text;
+  EXPECT_EQ(reread->branch_priority, m.branch_priority) << text;
+
+  // A priority naming no column, or not an integer, is an error.
+  const std::string head = "ROWS\n N obj\nCOLUMNS\n x obj 1\n";
+  const Status unknown =
+      ReadMpsFromString(head + "* PRIORITY y 2\nENDATA\n").status();
+  EXPECT_NE(unknown.message().find("unknown column"), std::string::npos);
+  const Status fractional =
+      ReadMpsFromString(head + "* PRIORITY x 1.5\nENDATA\n").status();
+  EXPECT_NE(fractional.message().find("bad priority"), std::string::npos);
+  // Any other comment stays a comment.
+  EXPECT_TRUE(ReadMpsFromString(head + "* PRIORITIES ahead\nENDATA\n").ok());
+}
+
 TEST(MpsWriteTest, LpFormatContainsAllParts) {
   Model m;
   const int a = m.AddBinary(3.0, "a");
