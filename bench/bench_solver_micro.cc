@@ -9,13 +9,16 @@
 //    rounds from a slack basis each time vs chaining each round's root
 //    basis (and pooled lazy cycle cuts) into the next solve;
 //  * node throughput — one node-bounded branch-and-bound search: time
-//    per node plus the machine-independent LP work per node (pivots,
-//    fresh basis factorizations), the cost of the per-search LP engine.
+//    per node and per simplex pivot, plus the machine-independent LP
+//    work (total pivots, pivots and fresh basis factorizations per
+//    node), the cost of the per-search LP engine.
 //
 // Shape checks gate correctness, not speed: a patched model must match
 // a fresh build bit for bit, and a warm-started solve must reach the
 // cold objective. Absolute timings land in the JSON for the checked-in
-// baseline diff; CI only gates the schema (timings are host-dependent).
+// baseline diff; CI gates the schema and the node-bounded search's
+// deterministic nodes and lp_pivots against the checked-in file
+// (timings are host-dependent).
 
 #include <algorithm>
 #include <cstdio>
@@ -263,7 +266,10 @@ int BenchNodeThroughput(Fixture* f, bench::BenchJsonWriter* json) {
   const double nodes = static_cast<double>(std::max<int64_t>(r.nodes, 1));
   const double lp_solves =
       static_cast<double>(std::max<int64_t>(r.lp_solves, 1));
+  const double pivots = static_cast<double>(r.lp_iterations);
   const double us_per_node = 1000.0 * total_ms / kRepeats / nodes;
+  const double us_per_pivot =
+      1000.0 * total_ms / kRepeats / std::max(pivots, 1.0);
   const double refactor_per_solve =
       static_cast<double>(r.lp_refactorizations) / lp_solves;
 
@@ -277,17 +283,18 @@ int BenchNodeThroughput(Fixture* f, bench::BenchJsonWriter* json) {
   }
 
   std::printf(
-      "node throughput %7.1f us/node   %.1f pivots/node   "
+      "node throughput %7.1f us/node   %.2f us/pivot   %.1f pivots/node   "
       "%.2f refactorizations/node   %.2f per LP solve   (%lld nodes)\n",
-      us_per_node, static_cast<double>(r.lp_iterations) / nodes,
+      us_per_node, us_per_pivot, pivots / nodes,
       static_cast<double>(r.lp_refactorizations) / nodes,
       refactor_per_solve, static_cast<long long>(r.nodes));
   bench::BenchRecord& rec = json->Add("node_throughput");
   rec.labels["max_nodes"] = std::to_string(kMaxNodes);
   rec.metrics["nodes"] = static_cast<double>(r.nodes);
   rec.metrics["us_per_node"] = us_per_node;
-  rec.metrics["pivots_per_node"] =
-      static_cast<double>(r.lp_iterations) / nodes;
+  rec.metrics["lp_pivots"] = pivots;
+  rec.metrics["us_per_pivot"] = us_per_pivot;
+  rec.metrics["pivots_per_node"] = pivots / nodes;
   rec.metrics["refactorizations_per_node"] =
       static_cast<double>(r.lp_refactorizations) / nodes;
   rec.metrics["lp_solves_per_node"] = lp_solves / nodes;

@@ -87,12 +87,11 @@ class SimplexSolver::Engine {
   // objective. Returns: 0 = no improving column, 1 = pivoted,
   // 2 = unbounded direction, 3 = singular refactorisation.
   int Iterate(bool phase1, bool bland);
-  // w_ = B^-1 * column col.
+  // w_ = B^-1 * column col; w_nz_ = its nonzero positions, ascending.
   void Ftran(int col);
-  // reduced_ = reduced costs for all nonbasic columns under the basic
-  // cost vector cb_ (indexed by basis position) and per-column costs
-  // `column_cost` (nullptr = all-zero, used by phase 1).
-  void PriceAll(const double* column_cost);
+  // y_ = cb_^T B^-1: the duals of the basic cost vector cb_ (indexed by
+  // basis position), summed over its nonzero positions cb_nz_ only.
+  void ComputeDuals();
 
   SimplexResult Finish(SolveStatus status);
 
@@ -115,13 +114,26 @@ class SimplexSolver::Engine {
   double feas_tol_ = 1e-7;
   double opt_tol_ = 1e-7;
 
+  // Ratio-test breakpoint of one basic row the entering column moves.
+  struct RowLimit {
+    int pos;
+    int to_upper;
+    double g;      // rate of decrease of the basic value
+    double limit;  // step length at which the row blocks
+  };
+
   // Work buffers, sized on demand and kept across iterations and solves.
+  // The *_nz_ lists hold the ascending nonzero positions of a vector:
+  // the kernels skip its exact zeros, which only ever add or subtract a
+  // signed zero, so every nonzero sees the operations of a dense loop.
   std::vector<int> target_;   // starting basis, ascending column order
   std::vector<int> col_pos_;  // per column: position in the kept inverse
   std::vector<int> src_pos_;  // per target position: kept position
   std::vector<double> border_, column_;
   std::vector<int> perm_;
-  std::vector<double> q_, cb_, y_, reduced_, w_;
+  std::vector<double> q_, cb_, y_, w_;
+  std::vector<int> cb_nz_, w_nz_, nz_;
+  std::vector<RowLimit> limits_;
 };
 
 void SimplexSolver::Engine::SyncModel(const Model& model) {
@@ -401,13 +413,21 @@ bool SimplexSolver::Engine::Refactorize() {
     }
     const double p = pivot_col[k];
     pivot_col[k] = 1.0;
-    for (int c = 0; c < m; ++c) a[static_cast<size_t>(c) * m + k] /= p;
+    // Scale row k and gather its nonzero columns: the only ones the
+    // elimination below changes.
+    nz_.clear();
+    for (int c = 0; c < m; ++c) {
+      double& x = a[static_cast<size_t>(c) * m + k];
+      if (x == 0.0) continue;
+      x /= p;
+      nz_.push_back(c);
+    }
     for (int r = 0; r < m; ++r) {
       if (r == k) continue;
       const double f = pivot_col[r];
       if (f == 0.0) continue;
       pivot_col[r] = 0.0;
-      for (int c = 0; c < m; ++c) {
+      for (int c : nz_) {
         a[static_cast<size_t>(c) * m + r] -=
             f * a[static_cast<size_t>(c) * m + k];
       }
@@ -438,11 +458,13 @@ void SimplexSolver::Engine::RecomputeBasicValues() {
     const int cnt = t_.ColEntries(c, &rows, &vals);
     for (int k = 0; k < cnt; ++k) q_[rows[k]] += vals[k] * v;
   }
+  nz_.clear();
+  for (int c = 0; c < m; ++c) {
+    if (q_[c] != 0.0) nz_.push_back(c);
+  }
   for (int i = 0; i < m; ++i) {
     double acc = 0.0;
-    for (int c = 0; c < m; ++c) {
-      acc += t_.binv[static_cast<size_t>(c) * m + i] * q_[c];
-    }
+    for (int c : nz_) acc += t_.binv[static_cast<size_t>(c) * m + i] * q_[c];
     t_.value[t_.basis[i]] = -acc;
   }
 }
@@ -468,27 +490,20 @@ void SimplexSolver::Engine::Ftran(int col) {
     const double* bcol = t_.binv.data() + static_cast<size_t>(rows[k]) * m;
     for (int i = 0; i < m; ++i) w_[i] += a * bcol[i];
   }
+  w_nz_.clear();
+  for (int i = 0; i < m; ++i) {
+    if (w_[i] != 0.0) w_nz_.push_back(i);
+  }
 }
 
-void SimplexSolver::Engine::PriceAll(const double* column_cost) {
+void SimplexSolver::Engine::ComputeDuals() {
   const int m = t_.m;
   y_.resize(m);
   for (int c = 0; c < m; ++c) {
     const double* bcol = t_.binv.data() + static_cast<size_t>(c) * m;
     double acc = 0.0;
-    for (int i = 0; i < m; ++i) acc += cb_[i] * bcol[i];
+    for (int i : cb_nz_) acc += cb_[i] * bcol[i];
     y_[c] = acc;
-  }
-  reduced_.assign(t_.n_total, 0.0);
-  for (int c = 0; c < t_.n_total; ++c) {
-    if (t_.state[c] == BasisState::kBasic) continue;
-    if (t_.lb[c] == t_.ub[c]) continue;  // fixed: never enters, skip price
-    const int* rows;
-    const double* vals;
-    const int cnt = t_.ColEntries(c, &rows, &vals);
-    double dot = 0.0;
-    for (int k = 0; k < cnt; ++k) dot += y_[rows[k]] * vals[k];
-    reduced_[c] = (column_cost != nullptr ? column_cost[c] : 0.0) - dot;
   }
 }
 
@@ -497,25 +512,28 @@ int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
 
   // Basic cost vector: the composite phase-1 gradient (+1 above ub, -1
   // below lb) or the phase-2 objective restricted to the basis.
-  std::vector<double>& cb = cb_;
-  cb.resize(m);
-  if (phase1) {
-    for (int i = 0; i < m; ++i) {
-      const int c = t_.basis[i];
+  cb_.resize(m);
+  cb_nz_.clear();
+  for (int i = 0; i < m; ++i) {
+    const int c = t_.basis[i];
+    double cost = t_.cost[c];
+    if (phase1) {
       if (t_.value[c] > t_.ub[c] + feas_tol_) {
-        cb[i] = 1.0;
+        cost = 1.0;
       } else if (t_.value[c] < t_.lb[c] - feas_tol_) {
-        cb[i] = -1.0;
+        cost = -1.0;
       } else {
-        cb[i] = 0.0;
+        cost = 0.0;
       }
     }
-  } else {
-    for (int i = 0; i < m; ++i) cb[i] = t_.cost[t_.basis[i]];
+    cb_[i] = cost;
+    if (cost != 0.0) cb_nz_.push_back(i);
   }
-  PriceAll(phase1 ? nullptr : t_.cost.data());
-  const std::vector<double>& reduced = reduced_;
+  ComputeDuals();
 
+  // Pricing: each nonbasic column's reduced cost is formed as the scan
+  // reaches it (phase 1 prices against all-zero column costs); fixed
+  // columns never enter and are not priced.
   int enter = -1;
   int enter_dir = 0;
   double best_score = opt_tol_;
@@ -523,7 +541,12 @@ int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
     const BasisState st = t_.state[c];
     if (st == BasisState::kBasic) continue;
     if (t_.lb[c] == t_.ub[c]) continue;
-    const double d = reduced[c];
+    const int* rows;
+    const double* vals;
+    const int cnt = t_.ColEntries(c, &rows, &vals);
+    double dot = 0.0;
+    for (int k = 0; k < cnt; ++k) dot += y_[rows[k]] * vals[k];
+    const double d = (phase1 ? 0.0 : t_.cost[c]) - dot;
     int dir = 0;
     if (st == BasisState::kAtLower && d < -opt_tol_) {
       dir = +1;
@@ -553,7 +576,9 @@ int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
   // (phase 1) contribute a breakpoint where they *reach* their violated
   // bound; feasible ones where they would leave their range. The second
   // pass picks the largest |pivot| among near-tied limits, which keeps
-  // the basis well conditioned through degenerate pivot chains.
+  // the basis well conditioned through degenerate pivot chains. Rows
+  // where w is zero never block, so only w's nonzeros are evaluated,
+  // once each.
   const double range = t_.ub[enter] - t_.lb[enter];
   auto row_limit = [&](int i, double* g_out, int* to_upper) -> double {
     const double g = enter_dir * w[i];  // rate of decrease of basic value
@@ -596,10 +621,12 @@ int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
   };
 
   double min_limit = std::isfinite(range) ? range : kInf;
-  for (int i = 0; i < m; ++i) {
-    double g;
-    int tu;
-    min_limit = std::min(min_limit, row_limit(i, &g, &tu));
+  limits_.clear();
+  for (int i : w_nz_) {
+    RowLimit row{i, 0, 0.0, 0.0};
+    row.limit = row_limit(i, &row.g, &row.to_upper);
+    min_limit = std::min(min_limit, row.limit);
+    limits_.push_back(row);
   }
   if (!std::isfinite(min_limit)) return 2;  // unbounded direction
 
@@ -608,16 +635,13 @@ int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
   int leave_to_upper = 0;
   double best_pivot = 0.0;
   double limit = min_limit;
-  for (int i = 0; i < m; ++i) {
-    double g;
-    int tu = 0;
-    const double a = row_limit(i, &g, &tu);
-    if (a > min_limit + tie_tol) continue;
-    if (std::abs(g) > best_pivot) {
-      best_pivot = std::abs(g);
-      leave_pos = i;
-      leave_to_upper = tu;
-      limit = std::max(0.0, a);
+  for (const RowLimit& row : limits_) {
+    if (row.limit > min_limit + tie_tol) continue;
+    if (std::abs(row.g) > best_pivot) {
+      best_pivot = std::abs(row.g);
+      leave_pos = row.pos;
+      leave_to_upper = row.to_upper;
+      limit = std::max(0.0, row.limit);
     }
   }
   const bool bound_flip =
@@ -629,9 +653,7 @@ int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
   degenerate_run_ = (limit < 1e-10) ? degenerate_run_ + 1 : 0;
 
   const double alpha = limit;
-  for (int i = 0; i < m; ++i) {
-    if (w[i] != 0.0) t_.value[t_.basis[i]] -= enter_dir * alpha * w[i];
-  }
+  for (int i : w_nz_) t_.value[t_.basis[i]] -= enter_dir * alpha * w[i];
   const double enter_val = t_.value[enter] + enter_dir * alpha;
 
   if (bound_flip) {
@@ -657,14 +679,14 @@ int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
     factor_m_ = -1;  // the basis moved on without its inverse
     return 3;
   }
+  // Product-form update of B^-1: besides the pivot row, only the rows
+  // where w is nonzero change.
+  w_nz_.erase(std::find(w_nz_.begin(), w_nz_.end(), leave_pos));
   for (int c = 0; c < m; ++c) {
     double* bcol = t_.binv.data() + static_cast<size_t>(c) * m;
     const double pr = bcol[leave_pos] / piv;
     if (pr == 0.0) continue;
-    for (int i = 0; i < m; ++i) {
-      if (i == leave_pos) continue;
-      bcol[i] -= w[i] * pr;
-    }
+    for (int i : w_nz_) bcol[i] -= w[i] * pr;
     bcol[leave_pos] = pr;
   }
 

@@ -73,8 +73,8 @@ struct SimplexResult {
   int64_t factor_reuses = 0;
 };
 
-/// Two-phase bounded-variable revised primal simplex with a dense basis
-/// inverse and periodic refactorisation.
+/// Two-phase bounded-variable revised primal simplex over a basis inverse
+/// kept in dense storage, with periodic refactorisation.
 ///
 /// This is the LP engine underneath the branch-and-bound MILP solver that
 /// stands in for CPLEX in the SQPR reproduction. Design points:
@@ -87,7 +87,15 @@ struct SimplexResult {
 ///  * bound flips are handled without basis changes;
 ///  * the basis inverse is maintained column-major via product-form
 ///    updates and rebuilt in place by Gauss-Jordan every
-///    refactor_interval pivots.
+///    refactor_interval pivots;
+///  * the per-pivot kernels are sparse-aware: pricing sums over the
+///    nonzero basic costs only, the ratio test and the update visit only
+///    the nonzeros of the entering column B^-1 a_q, and refactorization
+///    eliminates over the nonzero columns of each pivot row. Skipping an
+///    exact zero only drops the addition of a signed zero, and every
+///    nonzero sees the same floating-point operations in the same order
+///    as a dense loop, so pivots, bases and values are exactly those of
+///    the dense kernels.
 ///
 /// One solver is one persistent engine: it keeps its column storage, its
 /// basis with the inverse, and its work buffers between Solve() calls.

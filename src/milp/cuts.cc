@@ -36,11 +36,14 @@ constexpr double kAlphaTol = 1e-11;
 double Frac(double v) { return v - std::floor(v); }
 
 /// Dense row-major matrix inverse by Gauss-Jordan with partial pivoting.
-/// Returns false when singular.
+/// Eliminates over the nonzero columns of the scaled pivot rows only: a
+/// skipped entry would subtract a signed zero, so the result is the one
+/// the full dense elimination computes. Returns false when singular.
 bool InvertDense(std::vector<double>* a, int m) {
   std::vector<double>& mat = *a;
   std::vector<double> inv(static_cast<size_t>(m) * m, 0.0);
   for (int i = 0; i < m; ++i) inv[static_cast<size_t>(i) * m + i] = 1.0;
+  std::vector<int> mat_nz, inv_nz;  // nonzero columns of the pivot row
   for (int col = 0; col < m; ++col) {
     int pivot = -1;
     double best = 1e-10;
@@ -62,20 +65,24 @@ bool InvertDense(std::vector<double>* a, int m) {
     }
     const double d = mat[static_cast<size_t>(col) * m + col];
     const double dinv = 1.0 / d;
+    double* mat_row = mat.data() + static_cast<size_t>(col) * m;
+    double* inv_row = inv.data() + static_cast<size_t>(col) * m;
+    mat_nz.clear();
+    inv_nz.clear();
     for (int c = 0; c < m; ++c) {
-      mat[static_cast<size_t>(col) * m + c] *= dinv;
-      inv[static_cast<size_t>(col) * m + c] *= dinv;
+      mat_row[c] *= dinv;
+      inv_row[c] *= dinv;
+      if (mat_row[c] != 0.0) mat_nz.push_back(c);
+      if (inv_row[c] != 0.0) inv_nz.push_back(c);
     }
     for (int r = 0; r < m; ++r) {
       if (r == col) continue;
       const double f = mat[static_cast<size_t>(r) * m + col];
       if (f == 0.0) continue;
-      for (int c = 0; c < m; ++c) {
-        mat[static_cast<size_t>(r) * m + c] -=
-            f * mat[static_cast<size_t>(col) * m + c];
-        inv[static_cast<size_t>(r) * m + c] -=
-            f * inv[static_cast<size_t>(col) * m + c];
-      }
+      double* mat_r = mat.data() + static_cast<size_t>(r) * m;
+      double* inv_r = inv.data() + static_cast<size_t>(r) * m;
+      for (int c : mat_nz) mat_r[c] -= f * mat_row[c];
+      for (int c : inv_nz) inv_r[c] -= f * inv_row[c];
     }
   }
   *a = std::move(inv);
@@ -250,8 +257,16 @@ int CutGenerator::SeparateGomory(const lp::SimplexResult& rel,
   }
   std::sort(candidates.begin(), candidates.end());
 
+  // A GMI term: coefficient g on the bound-shifted nonbasic column j,
+  // shifted from its upper bound when from_upper.
+  struct GammaTerm {
+    int j;
+    double g;
+    bool from_upper;
+  };
   int added = 0;
-  std::vector<double> w(m);
+  std::vector<double> w(m), alpha(n + m), coef(n);
+  std::vector<GammaTerm> gamma;
   for (const auto& [neg_dist, k] : candidates) {
     if (added >= options_.max_cuts_per_round) break;
     // w = row k of B^-1.
@@ -259,12 +274,10 @@ int CutGenerator::SeparateGomory(const lp::SimplexResult& rel,
 
     // alpha_j = w . A_j over all columns. Structural: accumulate by
     // scanning rows once; slack j (row r): -w[r].
-    std::vector<double> alpha(n + m, 0.0);
+    alpha.assign(n + m, 0.0);
     for (int r = 0; r < m; ++r) {
       if (w[r] == 0.0) continue;
-      for (const auto& [v, coef] : work->row_terms(r)) {
-        alpha[v] += w[r] * coef;
-      }
+      for (const auto& [v, a] : work->row_terms(r)) alpha[v] += w[r] * a;
       alpha[n + r] = -w[r];
     }
 
@@ -274,8 +287,7 @@ int CutGenerator::SeparateGomory(const lp::SimplexResult& rel,
     // GMI coefficients on the bound-shifted nonbasics t_j >= 0, where
     // the tableau row reads  x_B + sum abar_j t_j = beta0.
     bool ok = true;
-    std::vector<std::pair<int, double>> gamma;  // (column, coef on t_j)
-    std::vector<int> at_upper;                  // columns shifted from ub
+    gamma.clear();
     for (int j = 0; j < n + m && ok; ++j) {
       if (rel.basis_state[j] == lp::BasisState::kBasic) continue;
       if (std::abs(alpha[j]) <= kAlphaTol) continue;
@@ -304,18 +316,15 @@ int CutGenerator::SeparateGomory(const lp::SimplexResult& rel,
         g = abar > 0.0 ? abar : f0 * (-abar) / (1.0 - f0);
       }
       if (g <= kCoefDropTol) continue;
-      gamma.emplace_back(j, g);
-      if (from_upper) at_upper.push_back(j);
+      gamma.push_back({j, g, from_upper});
     }
     if (!ok || gamma.empty()) continue;
 
     // Translate  sum gamma_j t_j >= f0  back to structural space.
-    std::vector<double> coef(n, 0.0);
+    coef.assign(n, 0.0);
     double rhs = f0;
     bool numerically_sane = true;
-    for (const auto& [j, g] : gamma) {
-      const bool from_upper =
-          std::find(at_upper.begin(), at_upper.end(), j) != at_upper.end();
+    for (const auto& [j, g, from_upper] : gamma) {
       const double shift_bound = from_upper ? ub[j] : lb[j];
       if (!std::isfinite(shift_bound)) {
         numerically_sane = false;

@@ -5,17 +5,24 @@
 // one-shot solve of the same model — status, objective within 1e-7
 // relative, and a feasible optimum. The counters show that the sequence
 // really took the kept-inverse paths (plain reuse, bordered extension by
-// appended rows) rather than refactorizing every time.
+// appended rows) rather than refactorizing every time. A pinned digest
+// of the same corpus plus a node-bounded MILP search holds the engine's
+// pivot path fixed.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
+#include "milp/cuts.h"
+#include "milp/solver.h"
 
 namespace sqpr {
 namespace lp {
@@ -72,7 +79,54 @@ Model RandomLp(Rng* rng, std::vector<double>* x0) {
   return m;
 }
 
+/// The pivot path of a run of solves: an FNV-1a digest of the discrete
+/// results (status, work counters, final basis, MILP node counts) plus
+/// the objectives, which are compared with a tolerance instead.
+struct PathLog {
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  std::vector<double> objectives;
+
+  void Mix(uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      digest ^= (v >> (8 * b)) & 0xff;
+      digest *= 0x100000001b3ULL;
+    }
+  }
+  void Add(const SimplexResult& r) {
+    Mix(static_cast<uint64_t>(r.status));
+    Mix(static_cast<uint64_t>(r.iterations));
+    Mix(static_cast<uint64_t>(r.refactorizations));
+    Mix(static_cast<uint64_t>(r.factor_reuses));
+    Mix(r.basis_state.size());
+    for (BasisState s : r.basis_state) Mix(static_cast<uint64_t>(s));
+    objectives.push_back(r.objective);
+  }
+  void Add(const milp::MipResult& r) {
+    Mix(static_cast<uint64_t>(r.status));
+    Mix(static_cast<uint64_t>(r.nodes));
+    Mix(static_cast<uint64_t>(r.lp_iterations));
+    objectives.push_back(r.objective);
+    objectives.push_back(r.best_bound);
+  }
+  /// The values to paste into the pinned constants when re-recording.
+  std::string Render() const {
+    std::string out;
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "digest 0x%016llxULL, objectives:",
+                  static_cast<unsigned long long>(digest));
+    out += buf;
+    for (size_t i = 0; i < objectives.size(); ++i) {
+      std::snprintf(buf, sizeof(buf), "%s%.17g,", i % 4 == 0 ? "\n" : " ",
+                    objectives[i]);
+      out += buf;
+    }
+    return out;
+  }
+};
+
 struct Coverage {
+  // Records every persistent-engine solve when set.
+  PathLog* path = nullptr;
   int solves = 0;
   int infeasible_children = 0;
   int plain_reuses = 0;     // reused, no rows appended since
@@ -87,6 +141,7 @@ SimplexResult SolveBoth(SimplexSolver* engine, const Model& model,
                         const std::vector<BasisState>* warm,
                         Coverage* coverage) {
   SimplexResult kept = engine->Solve(model, warm);
+  if (coverage->path != nullptr) coverage->path->Add(kept);
   SimplexSolver fresh;
   const SimplexResult once = fresh.Solve(model);
   EXPECT_EQ(kept.status, once.status)
@@ -256,6 +311,95 @@ TEST(LpEngineTest, RepeatSolveFromOwnBasisReusesWithoutPivots) {
   EXPECT_EQ(again.refactorizations, 0);
   EXPECT_EQ(again.iterations, 1);  // one pricing pass proves optimality
   EXPECT_NEAR(again.objective, first.objective, 1e-9);
+}
+
+/// A random mixed-integer program (maximisation) around an integral
+/// reference point, so it is feasible: general integer and continuous
+/// columns in [0, 4], <= and ranged rows with mixed-sign coefficients.
+milp::Model RandomMip(uint64_t seed) {
+  Rng rng(seed);
+  milp::Model m;
+  const int n = 30;
+  std::vector<double> ref(n);
+  for (int v = 0; v < n; ++v) {
+    const bool is_int = rng.NextBool(0.7);
+    m.AddVariable(0.0, 4.0, rng.NextDouble(-1.0, 3.0), is_int);
+    ref[v] = is_int ? static_cast<double>(rng.NextInt(0, 4))
+                    : rng.NextDouble(0.0, 4.0);
+  }
+  for (int r = 0; r < 16; ++r) {
+    std::vector<std::pair<int, double>> terms;
+    double activity = 0.0;
+    for (int v = 0; v < n; ++v) {
+      if (!rng.NextBool(0.3)) continue;
+      const double coef = rng.NextDouble(-1.0, 3.0);
+      terms.emplace_back(v, coef);
+      activity += coef * ref[v];
+    }
+    if (terms.empty()) continue;
+    const double slack = rng.NextDouble(0.0, 2.0);
+    if (r % 4 == 3) {
+      m.lp.AddRow(activity - slack, activity + 0.5, std::move(terms));
+    } else {
+      m.lp.AddRow(-kInf, activity + slack, std::move(terms));
+    }
+  }
+  return m;
+}
+
+// Pinned on the dense-kernel engine. The simplex kernels skip exact
+// zeros but perform the same floating-point operations, in the same
+// order, on every nonzero, so pivots, bases and work counters must not
+// move. A deliberate change to the pivot path re-records both constants
+// from the failure message.
+constexpr uint64_t kPinnedPathDigest = 0x40734676a2e5849cULL;
+constexpr double kPinnedObjectives[] = {
+    -10.25, -10, -10, -10, -10, -10, -8, -8, -10, -10, -9, 36, -10,
+    -9.3333333333333321, -8.5, -8, 40, -8.5, -7, 74.700000000000003,
+    74.700000000000003, 74.700000000000003, 74.700000000000003,
+    74.700000000000003, 74.700000000000003, 56.099999999999994,
+    74.700000000000003, 74.700000000000003, 72.5, 70, 64.5, 64.5, 64.5, 64.5,
+    72.5, 72.5, 64, 0.4000000000000008, 7.6000000000000005, 0.39999999999999947,
+    0.39999999999999947, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 10.666666666666668,
+    10.666666666666666, 11.666666666666666, 62.666666666666664,
+    11.666666666666666, 11.666666666666666, 11.666666666666666,
+    11.666666666666666, 11.666666666666666, 13.666666666666666, 16, 37, 16,
+    10.666666666666668, 61.666666666666664, 10.666666666666666,
+    10.666666666666666, 10.666666666666666, 17.666666666666664,
+    17.666666666666664, 35.393939393939391, 33.600000000000001,
+    33.599999999999994, 33.599999999999994, 29.5, 28.230769230769234, 25.25,
+    33.600000000000009, 28.400000000000006, 28.400000000000006,
+    27.777777777777786, 27.777777777777782, 26.666666666666671,
+    20.666666666666668, 26.666666666666668, 20.666666666666668,
+    26.666666666666668, 26.666666666666668, 26.666666666666668, 2, 2, 2, 2, 2,
+    2, 2, 8, 102, 8, 8, 8, 102, 8, 2, 2, 2, 7, 15.666666666666666,
+    72.140562288283604, 78.353775543452983, 0, 88.426440819066045, 0,
+    111.50231843537773,
+};
+
+TEST(LpEngineTest, KernelRewriteKeepsPivotPath) {
+  PathLog path;
+  Coverage coverage;
+  coverage.path = &path;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    RunSequence(0x1e9e3779b97f4a7cULL + seed, &coverage);
+  }
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    // Default options: presolve and root Gomory/cover cuts on.
+    milp::SolverOptions options;
+    options.max_nodes = 150;
+    options.gap_abs = 1e-9;
+    options.gap_rel = 1e-9;
+    path.Add(milp::Solver().Solve(RandomMip(0x5eed + seed), options));
+  }
+  EXPECT_EQ(path.digest, kPinnedPathDigest) << path.Render();
+  const size_t pinned = sizeof(kPinnedObjectives) / sizeof(double);
+  ASSERT_EQ(path.objectives.size(), pinned) << path.Render();
+  for (size_t i = 0; i < pinned; ++i) {
+    EXPECT_NEAR(path.objectives[i], kPinnedObjectives[i],
+                1e-9 * std::max(1.0, std::abs(kPinnedObjectives[i])))
+        << "solve " << i;
+  }
 }
 
 }  // namespace
