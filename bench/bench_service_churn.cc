@@ -26,12 +26,11 @@
 //    restore round-trip.
 //
 // Each scenario replays one trace with 0, 1 and 4 workers solving the
-// re-planning rounds; the drift-heavy scenario additionally replays at
-// pipeline depths 1 and 4 (the default elsewhere is 2). The solver is
-// node-bounded (large wall deadline + fixed branch-and-bound budget),
-// so every replay is deterministic and all of them must commit
-// bit-for-bit identical deployments — the worker count and pipeline
-// depth may only change how much solve time overlaps event processing.
+// re-planning rounds. The solver is node-bounded (large wall deadline +
+// fixed branch-and-bound budget), so every replay is deterministic and
+// all of them must commit bit-for-bit identical deployments — the
+// worker count may only change how much solve time overlaps event
+// processing.
 // Expected shape: every replay consumes the whole trace, survives the
 // failures, finishes with identical valid committed deployments and
 // identical admission statistics, the plan cache absorbs repeat
@@ -78,8 +77,8 @@ struct RunResult {
   size_t trace_events = 0;
   bool audit_ok = false;
   // Decision audit journal renderings (src/obs/audit.h): the canonical
-  // stratum must be byte-identical across worker counts and pipeline
-  // depths; the full rendering adds speculative records + wall timings.
+  // stratum must be byte-identical across worker counts; the full
+  // rendering adds speculative records + wall timings.
   std::string audit_canonical;
   std::string audit_full;
   size_t audit_records = 0;
@@ -89,7 +88,6 @@ struct RunResult {
 RunResult Replay(const TraceConfig& trace_config, int workers,
                  bool closed_loop = false,
                  MeasureMode mode = MeasureMode::kEngine,
-                 int pipeline_depth = 2,
                  const std::string& metrics_series_path = std::string()) {
   // Fresh scenario per replay: the drift reports install measured rates
   // into the catalog, so state must not leak between runs. Same seed =>
@@ -109,7 +107,6 @@ RunResult Replay(const TraceConfig& trace_config, int workers,
   options.planner.timeout_ms = 60000;
   options.planner.max_nodes = 200;
   options.replan.workers = workers;
-  options.replan.pipeline_depth = pipeline_depth;
   options.closed_loop = closed_loop;
   options.telemetry.mode = mode;
   options.telemetry.measure_period = 3;
@@ -118,7 +115,7 @@ RunResult Replay(const TraceConfig& trace_config, int workers,
   options.telemetry.noise = 0.03;
   // Every replay journals its decisions: the cross-run byte-identity
   // shape checks below are the bench-side enforcement of the canonical
-  // stratum's worker/depth invariance.
+  // stratum's worker invariance.
   obs::AuditJournal journal;
   options.audit = &journal;
   PlanningService service(scenario.cluster.get(), scenario.catalog.get(),
@@ -179,7 +176,7 @@ RunResult Replay(const TraceConfig& trace_config, int workers,
   result.audit_records = journal.size();
   result.audit_canonical_records = journal.canonical_size();
   if (want_series) {
-    // Final sample after the pipeline drains: the series always ends
+    // Final sample after the in-flight round commits: the series ends
     // with the run's complete totals.
     sample_series(service.clock().now_ms());
     std::FILE* f = std::fopen(metrics_series_path.c_str(), "wb");
@@ -215,11 +212,10 @@ void PrintRun(const char* label, const RunResult& r) {
               static_cast<long long>(s.replanned_admitted +
                                      s.replanned_rejected));
   std::printf("  rounds: %lld committed (%lld dispatched, %lld commit "
-              "conflicts re-solved, %lld unwound at barriers)\n",
+              "conflicts re-solved)\n",
               static_cast<long long>(s.replan_rounds),
               static_cast<long long>(s.replan_dispatches),
-              static_cast<long long>(s.commit_conflicts),
-              static_cast<long long>(s.round_unwinds));
+              static_cast<long long>(s.commit_conflicts));
   if (s.solve_ms.count() > 0) {
     std::printf("  solver wall-time: %zu solves, p50 %.2f ms, p90 %.2f ms, "
                 "p99 %.2f ms, max %.2f ms\n",
@@ -235,11 +231,10 @@ void PrintRun(const char* label, const RunResult& r) {
               static_cast<long long>(r.cache_rebuilds),
               static_cast<long long>(r.cache_noop_skips));
   if (s.replan_dispatches > 0) {
-    std::printf("  snapshots: %lld bytes copied on the loop thread across "
-                "%lld dispatches (%lld rebases)\n",
+    std::printf("  planner copies: %lld bytes copied on the loop thread "
+                "across %lld dispatches\n",
                 static_cast<long long>(s.snapshot_bytes_copied),
-                static_cast<long long>(s.replan_dispatches),
-                static_cast<long long>(s.snapshot_rebases));
+                static_cast<long long>(s.replan_dispatches));
   }
   if (s.rate_directives + s.measurement_ticks > 0) {
     std::printf("  closed loop: %lld rate directives, %lld measurement "
@@ -254,12 +249,11 @@ void PrintRun(const char* label, const RunResult& r) {
 }
 
 void AddRecord(BenchJsonWriter* json, const char* scenario, int workers,
-               const char* mode, const RunResult& r, int pipeline_depth = 2) {
+               const char* mode, const RunResult& r) {
   if (json == nullptr) return;
   BenchRecord& rec = json->Add(scenario);
   rec.labels["workers"] = std::to_string(workers);
   rec.labels["measure_mode"] = mode;
-  rec.labels["pipeline_depth"] = std::to_string(pipeline_depth);
   const ServiceStats& s = r.stats;
   auto& m = rec.metrics;
   m["wall_ms"] = r.total_ms;
@@ -276,12 +270,10 @@ void AddRecord(BenchJsonWriter* json, const char* scenario, int workers,
   m["overlapped_arrival_solves"] =
       static_cast<double>(s.overlapped_arrival_solves);
   m["commit_conflicts"] = static_cast<double>(s.commit_conflicts);
-  m["round_unwinds"] = static_cast<double>(s.round_unwinds);
   m["cache_delta_updates"] = static_cast<double>(s.cache_delta_updates);
   m["cache_rebuilds"] = static_cast<double>(r.cache_rebuilds);
   m["cache_noop_skips"] = static_cast<double>(r.cache_noop_skips);
   m["snapshot_bytes_copied"] = static_cast<double>(s.snapshot_bytes_copied);
-  m["snapshot_rebases"] = static_cast<double>(s.snapshot_rebases);
   m["measurement_ticks"] = static_cast<double>(s.measurement_ticks);
   m["analytic_ticks"] = static_cast<double>(s.analytic_ticks);
   m["auto_replan_rounds"] = static_cast<double>(s.auto_replan_rounds);
@@ -343,7 +335,7 @@ bool DeterminismChecks(const char* scenario, const RunResult& zero,
 // trace leaves behind. Three phases are timed separately because they
 // bound different things: ExportCheckpoint bounds the event-loop stall
 // a periodic checkpoint inserts (the first call additionally pays the
-// pipeline barrier + accounting refresh, so it is reported on its
+// round barrier + accounting refresh, so it is reported on its
 // own), WriteFileAtomic bounds the filesystem cost of the
 // write-fsync-rename protocol, and RestoreCheckpoint bounds recovery
 // time after a crash. The round-trip check mirrors the durability
@@ -435,7 +427,6 @@ bool RunCheckpointOverhead(BenchJsonWriter* json,
     BenchRecord& rec = json->Add("checkpoint-overhead");
     rec.labels["workers"] = "0";
     rec.labels["measure_mode"] = "none";
-    rec.labels["pipeline_depth"] = "2";
     auto& m = rec.metrics;
     m["checkpoint_bytes"] = static_cast<double>(doc->size());
     m["export_first_ms"] = export_first_ms;
@@ -498,8 +489,7 @@ int main(int argc, char** argv) {
   // metrics-series capture target, so the three CI artifacts (trace,
   // audit, series) all explain one replay and join on its timeline.
   const RunResult d4 = Replay(drifty, /*workers=*/4, /*closed_loop=*/false,
-                              MeasureMode::kEngine, /*pipeline_depth=*/2,
-                              metrics_series_out);
+                              MeasureMode::kEngine, metrics_series_out);
   if (!trace_out.empty()) {
     obs::TraceRecorder::Get().Disable();
     const Status written =
@@ -529,25 +519,6 @@ int main(int argc, char** argv) {
   AddRecord(jout, "drift-heavy", 0, "none", d0);
   AddRecord(jout, "drift-heavy", 1, "none", d1);
   AddRecord(jout, "drift-heavy", 4, "none", d4);
-
-  // ---- Scenario 1b: the same drift-heavy trace across pipeline
-  // depths (d0/d1/d4 above ran the default depth 2). Depth moves round
-  // dispatches earlier without moving any commit point, so the
-  // committed deployments must stay bit-identical while a deeper
-  // pipeline buys solve/event overlap at the price of speculative
-  // waste (commit conflicts, barrier unwinds). ----
-  std::printf("\n==== scenario: drift-heavy, pipeline depths ====\n");
-  const RunResult p1 = Replay(drifty, /*workers=*/4, /*closed_loop=*/false,
-                              MeasureMode::kEngine, /*pipeline_depth=*/1);
-  PrintRun("workers=4 depth=1", p1);
-  const RunResult p4 = Replay(drifty, /*workers=*/4, /*closed_loop=*/false,
-                              MeasureMode::kEngine, /*pipeline_depth=*/4);
-  PrintRun("workers=4 depth=4", p4);
-  std::printf("\nevents/s by depth (workers=4): depth1 %.1f, depth2 %.1f, "
-              "depth4 %.1f\n",
-              p1.events_per_s, d4.events_per_s, p4.events_per_s);
-  AddRecord(jout, "drift-heavy", 4, "none", p1, /*pipeline_depth=*/1);
-  AddRecord(jout, "drift-heavy", 4, "none", p4, /*pipeline_depth=*/4);
 
   // ---- Scenario 2: arrival-heavy (the speculative-arrival stall
   // removal: cache-miss arrivals solving while rounds are in flight,
@@ -639,30 +610,6 @@ int main(int argc, char** argv) {
   ok &= DeterminismChecks("closed-loop[engine]", c0, c1, c4);
   ok &= DeterminismChecks("closed-loop[analytic]", n0, n1, n4);
 
-  std::printf("\n-- drift-heavy: pipeline-depth invariance --\n");
-  ok &= ShapeCheck(p1.audit_ok && p4.audit_ok,
-                   "depth-1 and depth-4 committed deployments validate");
-  ok &= ShapeCheck(p1.fingerprint == d4.fingerprint &&
-                       p4.fingerprint == d4.fingerprint,
-                   "pipeline depth does not change committed deployments");
-  ok &= ShapeCheck(
-      p1.stats.admitted == d4.stats.admitted &&
-          p4.stats.admitted == d4.stats.admitted &&
-          p1.stats.rejected == d4.stats.rejected &&
-          p4.stats.rejected == d4.stats.rejected &&
-          p1.stats.evictions == d4.stats.evictions &&
-          p4.stats.evictions == d4.stats.evictions &&
-          p1.stats.replanned_admitted == d4.stats.replanned_admitted &&
-          p4.stats.replanned_admitted == d4.stats.replanned_admitted,
-      "pipeline depth does not change admission statistics");
-  ok &= ShapeCheck(p1.stats.round_unwinds == 0,
-                   "depth 1 never unwinds (barriers only ever see the "
-                   "oldest round)");
-  ok &= ShapeCheck(p1.audit_canonical == d4.audit_canonical &&
-                       p4.audit_canonical == d4.audit_canonical,
-                   "canonical audit journal byte-identical across pipeline "
-                   "depths (workers=4, depths 1/2/4)");
-
   std::printf("\n-- scenario-specific shape --\n");
   ok &= ShapeCheck(d0.stats.host_failures >= 2 &&
                        d0.stats.monitor_reports >= 8,
@@ -710,10 +657,9 @@ int main(int argc, char** argv) {
                    "reuse index maintained by incremental deltas on "
                    "additive commits (not only full rebuilds)");
   ok &= ShapeCheck(d4.stats.replan_dispatches > 0 &&
-                       d4.stats.snapshot_bytes_copied > 0 &&
-                       d4.stats.snapshot_rebases <= d4.stats.replan_dispatches,
-                   "worker rounds dispatched against copy-on-write "
-                   "snapshots (bytes copied, rebases amortised)");
+                       d4.stats.snapshot_bytes_copied > 0,
+                   "worker rounds dispatched against planner copies "
+                   "(bytes copied)");
   // The parallel win needs parallel hardware: the rounds are CPU-bound
   // MILP solves, so with fewer cores than solver threads (+ the loop
   // thread) they partly time-slice and scheduling noise can swamp the
@@ -724,20 +670,8 @@ int main(int argc, char** argv) {
     ok &= ShapeCheck(d4.events_per_s > 0.9 * d0.events_per_s,
                      "4 workers at least match inline rounds on a "
                      "drift-heavy trace");
-    // The pipelined rounds' point: starting the next round's solves
-    // before the previous round committed must never cost throughput
-    // (same 10% noise margin as the worker checks; the win itself is
-    // printed above). Below 4 cores the workers=4 replays time-slice
-    // and the comparison measures scheduler noise, so it is skipped
-    // with the other parallel-win checks.
-    ok &= ShapeCheck(d4.events_per_s > 0.9 * p1.events_per_s &&
-                         p4.events_per_s > 0.9 * p1.events_per_s,
-                     "pipelined rounds (depth >= 2) at least match depth 1 "
-                     "on the drift-heavy trace");
   } else {
     std::printf("shape-check [SKIP] 4 workers vs inline rounds "
-                "(host has < 4 cores)\n");
-    std::printf("shape-check [SKIP] pipeline depth >= 2 vs depth 1 "
                 "(host has < 4 cores)\n");
   }
   if (std::thread::hardware_concurrency() >= 2) {

@@ -3,26 +3,26 @@
 
 // Decision audit journal (schema sqpr-audit-v1): every operational
 // decision the planning service takes — admit, reject, re-plan, evict,
-// drift, conflict resolution, barrier unwind — appended in commit order
+// drift, conflict resolution — appended in commit order
 // as one JSONL record, so "why was query Q rejected at t=412?" is a
 // grep, not a debugger session.
 //
 // Determinism contract. The service commits bit-identical deployments
-// across worker counts and pipeline depths (docs/ARCHITECTURE.md §4);
+// across worker counts (docs/ARCHITECTURE.md §4);
 // the journal inherits that by splitting every record into two strata:
 //
 //  * canonical fields — virtual time, decision kind, query/host, the
 //    commit-order round sequence number, and pre/post deployment
 //    fingerprints. These depend only on the committed decision sequence,
 //    so the canonical rendering (ToJsonl(/*canonical=*/true)) is
-//    byte-identical across workers {0,1,4} x pipeline depth {1,2,4} —
-//    asserted by the replay property suite and bench_service_churn.
+//    byte-identical across workers {0,1,4} — asserted by the replay
+//    property suite and bench_service_churn.
 //  * operational fields — wall-clock solve/commit latencies and the
-//    pipeline dispatch id ("wall": {...}), plus whole records marked
-//    speculative (dispatches, unwinds, conflicts, scheduler requeues,
-//    watchdog stalls). Wall time and speculation are exactly what the
-//    worker count and depth DO change, so the full rendering carries
-//    them and the canonical rendering strips them.
+//    round dispatch id ("wall": {...}), plus whole records marked
+//    speculative (dispatches, conflicts, scheduler discards, watchdog
+//    stalls). These describe how the service got to a decision — wall
+//    time and speculation — not the decision itself, so the full
+//    rendering carries them and the canonical rendering strips them.
 //
 // Thread safety: none — Append() is loop-thread-only, like every other
 // commit-ordered structure in the service. Renders happen after the run
@@ -45,8 +45,8 @@ namespace obs {
 ///   measure.tick rate.directive replan.enqueue replan.round
 ///   replan.admit replan.reject replan.fail close.admitted
 ///   close.pending journal.close
-/// and (speculative) round.dispatch round.unwind replan.requeue
-/// replan.discard replan.conflict watchdog.stall.
+/// and (speculative) round.dispatch replan.discard replan.conflict
+/// watchdog.stall.
 struct AuditRecord {
   // ---- canonical ----
   int64_t t_ms = 0;          ///< virtual clock at the decision
@@ -70,12 +70,12 @@ struct AuditRecord {
   uint64_t post_structure = 0;
   uint64_t post_fp = 0;
   // ---- operational (stripped by the canonical rendering) ----
-  /// Whole-record marker: this decision only exists on some
-  /// worker/depth configurations (speculation artifacts).
+  /// Whole-record marker: a speculation artifact (how a round was
+  /// solved), not a committed decision.
   bool speculative = false;
   double solve_ms = -1.0;    ///< wall-clock solve latency, -1 = none
   double commit_ms = -1.0;   ///< wall-clock commit latency, -1 = none
-  int64_t dispatch_id = -1;  ///< pipeline dispatch id (depth-variant)
+  int64_t dispatch_id = -1;  ///< round dispatch id
 };
 
 /// Append-only decision journal. Canonical records are numbered by

@@ -21,26 +21,12 @@ void Deployment::Clear() {
   nic_out_used_.assign(cluster_->num_hosts(), 0.0);
   nic_in_used_.assign(cluster_->num_hosts(), 0.0);
   link_used_.clear();
-  RecordMutation(DeploymentMutation::Kind::kClear, kInvalidHost, kInvalidHost,
-                 kInvalidStream, kInvalidOperator);
+  RecordMutation(/*structural=*/true);
 }
 
-void Deployment::RecordMutation(DeploymentMutation::Kind kind, HostId a,
-                                HostId b, StreamId stream, OperatorId op) {
+void Deployment::RecordMutation(bool structural) {
   ++version_;
-  if (kind != DeploymentMutation::Kind::kRecompute) ++structure_version_;
-  if (!journal_enabled_ || journal_truncated_) return;
-  if (journal_.size() >= journal_limit_) {
-    // Epoch overflow: drop the suffix and stop recording until the next
-    // EnableJournal. An incomplete journal must never replay (it would
-    // silently materialise the wrong state), and appending past the
-    // limit would grow without bound when no consumer drains it.
-    journal_.clear();
-    journal_.shrink_to_fit();
-    journal_truncated_ = true;
-    return;
-  }
-  journal_.push_back({kind, a, b, stream, op});
+  if (structural) ++structure_version_;
 }
 
 Status Deployment::AddFlow(HostId from, HostId to, StreamId s) {
@@ -51,8 +37,7 @@ Status Deployment::AddFlow(HostId from, HostId to, StreamId s) {
   nic_out_used_[from] += rate;
   nic_in_used_[to] += rate;
   link_used_[{from, to}] += rate;
-  RecordMutation(DeploymentMutation::Kind::kAddFlow, from, to, s,
-                 kInvalidOperator);
+  RecordMutation(/*structural=*/true);
   return Status::OK();
 }
 
@@ -68,8 +53,7 @@ Status Deployment::RemoveFlow(HostId from, HostId to, StreamId s) {
   nic_out_used_[from] -= rate;
   nic_in_used_[to] -= rate;
   link_used_[{from, to}] -= rate;
-  RecordMutation(DeploymentMutation::Kind::kRemoveFlow, from, to, s,
-                 kInvalidOperator);
+  RecordMutation(/*structural=*/true);
   return Status::OK();
 }
 
@@ -79,8 +63,7 @@ Status Deployment::PlaceOperator(HostId h, OperatorId o) {
   }
   cpu_used_[h] += catalog_->op(o).cpu_cost;
   mem_used_[h] += catalog_->op(o).mem_mb;
-  RecordMutation(DeploymentMutation::Kind::kPlaceOperator, h, kInvalidHost,
-                 kInvalidStream, o);
+  RecordMutation(/*structural=*/true);
   return Status::OK();
 }
 
@@ -90,8 +73,7 @@ Status Deployment::RemoveOperator(HostId h, OperatorId o) {
   }
   cpu_used_[h] -= catalog_->op(o).cpu_cost;
   mem_used_[h] -= catalog_->op(o).mem_mb;
-  RecordMutation(DeploymentMutation::Kind::kRemoveOperator, h, kInvalidHost,
-                 kInvalidStream, o);
+  RecordMutation(/*structural=*/true);
   return Status::OK();
 }
 
@@ -103,8 +85,7 @@ Status Deployment::SetServing(StreamId s, HostId h) {
   }
   serving_[s] = h;
   nic_out_used_[h] += catalog_->stream(s).rate_mbps;  // client delivery
-  RecordMutation(DeploymentMutation::Kind::kSetServing, h, kInvalidHost, s,
-                 kInvalidOperator);
+  RecordMutation(/*structural=*/true);
   return Status::OK();
 }
 
@@ -112,50 +93,8 @@ Status Deployment::ClearServing(StreamId s) {
   auto it = serving_.find(s);
   if (it == serving_.end()) return Status::NotFound("stream not served");
   nic_out_used_[it->second] -= catalog_->stream(s).rate_mbps;
-  const HostId host = it->second;
   serving_.erase(it);
-  RecordMutation(DeploymentMutation::Kind::kClearServing, host, kInvalidHost,
-                 s, kInvalidOperator);
-  return Status::OK();
-}
-
-void Deployment::EnableJournal(size_t limit) {
-  journal_enabled_ = true;
-  journal_truncated_ = false;
-  journal_limit_ = limit;
-  journal_.clear();
-}
-
-Status Deployment::ApplyJournal(
-    const std::vector<DeploymentMutation>& records) {
-  for (const DeploymentMutation& r : records) {
-    switch (r.kind) {
-      case DeploymentMutation::Kind::kAddFlow:
-        SQPR_RETURN_IF_ERROR(AddFlow(r.a, r.b, r.stream));
-        break;
-      case DeploymentMutation::Kind::kRemoveFlow:
-        SQPR_RETURN_IF_ERROR(RemoveFlow(r.a, r.b, r.stream));
-        break;
-      case DeploymentMutation::Kind::kPlaceOperator:
-        SQPR_RETURN_IF_ERROR(PlaceOperator(r.a, r.op));
-        break;
-      case DeploymentMutation::Kind::kRemoveOperator:
-        SQPR_RETURN_IF_ERROR(RemoveOperator(r.a, r.op));
-        break;
-      case DeploymentMutation::Kind::kSetServing:
-        SQPR_RETURN_IF_ERROR(SetServing(r.stream, r.a));
-        break;
-      case DeploymentMutation::Kind::kClearServing:
-        SQPR_RETURN_IF_ERROR(ClearServing(r.stream));
-        break;
-      case DeploymentMutation::Kind::kRecompute:
-        RecomputeAggregates();
-        break;
-      case DeploymentMutation::Kind::kClear:
-        Clear();
-        break;
-    }
-  }
+  RecordMutation(/*structural=*/true);
   return Status::OK();
 }
 
@@ -345,8 +284,7 @@ GroundedMap Deployment::GroundedAvailability() const {
 }
 
 void Deployment::RecomputeAggregates() {
-  RecordMutation(DeploymentMutation::Kind::kRecompute, kInvalidHost,
-                 kInvalidHost, kInvalidStream, kInvalidOperator);
+  RecordMutation(/*structural=*/false);
   const int num_hosts = cluster_->num_hosts();
   cpu_used_.assign(num_hosts, 0.0);
   mem_used_.assign(num_hosts, 0.0);

@@ -51,7 +51,7 @@ struct SolveKey {
 ///  * pooled lazy cycle cuts (valid for every integral point of the
 ///    skeleton, so they can seed the next relaxation up front).
 /// Immutable after construction; shared by pointer between the live
-/// planner, speculative scratch planners and snapshots.
+/// planner, speculative scratch planners and dispatch copies.
 struct SolveArtifacts {
   std::vector<lp::BasisState> root_basis;
   std::vector<int> root_basis_columns;

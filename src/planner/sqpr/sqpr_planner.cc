@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <utility>
 
@@ -498,73 +497,6 @@ Result<AdmissionProposal> SqprPlanner::ProposeAdmission(
   return proposal;
 }
 
-std::shared_ptr<const SqprPlanner::Snapshot> SqprPlanner::MakeSnapshot(
-    SnapshotStats* stats) {
-  SnapshotStats local;
-  // Rebase when this is the first snapshot ever (journalling starts
-  // here — before that the journal is not anchored to any core), the
-  // overlay has outgrown the threshold, or the journal overflowed its
-  // bound between snapshots (a truncated epoch cannot replay). The
-  // rebase pays one full copy; amortised over the >= threshold
-  // mutations that forced it.
-  const size_t threshold =
-      static_cast<size_t>(std::max(0, options_.snapshot_rebase_threshold));
-  const bool rebase = snapshot_core_ == nullptr ||
-                      !deployment_.journal_enabled() ||
-                      deployment_.journal_truncated() ||
-                      deployment_.journal().size() > threshold;
-  if (rebase) {
-    // The journal bound doubles the threshold so back-to-back
-    // snapshots straddling exactly `threshold` mutations rebase via
-    // the size check, not the truncation path; past 2x with no
-    // snapshot draining it, recording stops and memory stays bounded.
-    deployment_.EnableJournal(2 * threshold + 1);
-    snapshot_core_ = std::make_shared<const Deployment>(deployment_);
-    local.rebased = true;
-    local.bytes_copied += deployment_.ApproxSizeBytes();
-  }
-  std::shared_ptr<Snapshot> snap(new Snapshot());
-  snap->cluster_ = cluster_;
-  snap->catalog_ = catalog_;
-  snap->options_ = options_;
-  snap->core_ = snapshot_core_;
-  snap->overlay_ = deployment_.journal();
-  snap->admitted_ = admitted_;
-  snap->cache_ = cache_;
-  snap->artifacts_ = artifacts_;
-  local.overlay_entries = snap->overlay_.size();
-  local.bytes_copied += snap->overlay_.size() * sizeof(DeploymentMutation) +
-                        snap->admitted_.size() * sizeof(StreamId);
-  if (stats != nullptr) *stats = local;
-  return snap;
-}
-
-const SqprPlanner& SqprPlanner::Snapshot::Materialized() const {
-  std::call_once(once_, [this] {
-    SQPR_TRACE_SPAN_ARGS(span, "service/snapshot.materialize",
-                         "overlay_entries", nullptr);
-    span.set_args(overlay_.size());
-    auto planner =
-        std::make_unique<SqprPlanner>(cluster_, catalog_, options_);
-    planner->deployment_ = *core_;
-    // Replaying the journal suffix reproduces the live deployment at
-    // MakeSnapshot time bit for bit (see DeploymentMutation) — the same
-    // state the retired deep copy used to capture, at O(changes) loop
-    // -thread cost instead of O(deployment).
-    SQPR_CHECK_OK(planner->deployment_.ApplyJournal(overlay_));
-    planner->admitted_ = admitted_;
-    planner->cache_ = cache_;
-    planner->artifacts_ = artifacts_;
-    materialized_ = std::move(planner);
-  });
-  return *materialized_;
-}
-
-Result<AdmissionProposal> SqprPlanner::Snapshot::ProposeAdmission(
-    StreamId query) const {
-  return Materialized().ProposeAdmission(query);
-}
-
 Result<PlanningStats> SqprPlanner::CommitProposal(
     const AdmissionProposal& proposal) {
   if (proposal.query < 0 || proposal.query >= catalog_->num_streams()) {
@@ -578,8 +510,8 @@ Result<PlanningStats> SqprPlanner::CommitProposal(
     // equivalent query meanwhile: free dedup, nothing to apply. A fresh
     // inline solve at this point would dedup identically — and would
     // not have run a MILP — so taking this path before the version gate
-    // (and installing no artifacts) is exactly what pipeline-depth
-    // invariance requires.
+    // (and installing no artifacts) keeps the commit equal to an inline
+    // solve.
     stats.admitted = true;
     stats.already_served = true;
     return stats;
@@ -591,7 +523,7 @@ Result<PlanningStats> SqprPlanner::CommitProposal(
     // state would not make. Nothing is adopted — not even the solve
     // artifacts: a stale solve's root basis and pooled cuts steer the
     // node-bounded search of later solves, so installing them would let
-    // pipeline depth change which incumbents those solves stop on. The
+    // a stale speculation change which incumbents those solves stop on. The
     // caller re-solves inline; that solve installs its own artifacts at
     // this same logical point.
     return Status::FailedPrecondition(
@@ -604,7 +536,7 @@ Result<PlanningStats> SqprPlanner::CommitProposal(
   // the live state, so these by-products are exactly what an inline
   // solve here would have harvested. Install on the committing thread,
   // in commit order, to keep the artifact table identical across worker
-  // counts and pipeline depths.
+  // counts.
   if (proposal.artifacts != nullptr) {
     artifacts_[proposal.artifact_key] = proposal.artifacts;
     if (artifacts_.size() > 64) artifacts_.clear();

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,8 +45,8 @@ struct AdmissionProposal {
   /// barrier handlers, which retire every in-flight round first), so
   /// version equality attests the proposal's base state is bit-identical
   /// to the live state — the condition under which committing the delta
-  /// equals re-solving inline. Anything weaker would let pipeline depth
-  /// change committed plans.
+  /// equals re-solving inline. Anything weaker would let the moment a
+  /// solve happened to start change committed plans.
   uint64_t base_version = 0;
   /// Solve by-products (root LP basis, pooled cycle cuts) harvested by
   /// the scratch solve, keyed by the solve's structural identity; null
@@ -92,11 +91,6 @@ class SqprPlanner : public Planner {
     /// so reuse/replanning quality is unchanged whenever the solver
     /// finishes in time.
     bool greedy_fallback = true;
-    /// Snapshot overlays (MakeSnapshot) rebase onto a fresh shared core
-    /// — one full deployment copy — once the mutation journal exceeds
-    /// this many entries, keeping the per-snapshot copy O(changes since
-    /// the last rebase) with an amortised-O(1) rebase cost per mutation.
-    int snapshot_rebase_threshold = 256;
     /// Reuse built model skeletons across rounds of the same solve
     /// structure (SqprSolveCache): a cache hit patches bounds against the
     /// current deployment (SqprMip::Rebind) instead of rebuilding every
@@ -177,7 +171,9 @@ class SqprPlanner : public Planner {
   // atomically (the planning service's speculative arrival solves rely
   // on exactly this) — but Catalog::UpdateBaseRate may not: it rewrites
   // published entries and requires all solves quiesced. The planning
-  // service enforces all of this (see docs/ARCHITECTURE.md).
+  // service enforces all of this (see docs/ARCHITECTURE.md): it hands
+  // worker solves a const copy of the planner taken at dispatch, which
+  // the loop thread never touches again.
 
   /// Pre-interns the join closure of `query` (every subset stream and
   /// binary split operator) so that a subsequent solve for it — MILP
@@ -201,63 +197,14 @@ class SqprPlanner : public Planner {
   /// solve rejected the query commits nothing and reports the rejection.
   Result<PlanningStats> CommitProposal(const AdmissionProposal& proposal);
 
-  // ---- Copy-on-write snapshots (the worker pool's round inputs). ----
-
-  /// What one MakeSnapshot call copied on the calling (loop) thread.
-  struct SnapshotStats {
-    /// A fresh shared core was captured (full deployment copy).
-    bool rebased = false;
-    /// Journal entries shipped as the snapshot's overlay.
-    size_t overlay_entries = 0;
-    /// Bytes the call copied: overlay + admitted list, plus the full
-    /// deployment when it rebased.
-    size_t bytes_copied = 0;
-  };
-
-  /// An immutable view of the planner at MakeSnapshot time: a shared
-  /// core deployment (the last rebase point, shared by every snapshot
-  /// since) plus a thin overlay of the mutations recorded after it.
-  /// ProposeAdmission lazily materialises core+overlay into a full
-  /// planner — once per snapshot, on the first worker that needs it,
-  /// off the loop thread — and is safe to call from any number of
-  /// threads concurrently (same contract as on the live planner:
-  /// WarmCatalog must have run first).
-  class Snapshot {
-   public:
-    Result<AdmissionProposal> ProposeAdmission(StreamId query) const;
-
-   private:
-    friend class SqprPlanner;
-    Snapshot() = default;
-    const SqprPlanner& Materialized() const;
-
-    const Cluster* cluster_ = nullptr;
-    Catalog* catalog_ = nullptr;
-    Options options_;
-    std::shared_ptr<const Deployment> core_;
-    std::vector<DeploymentMutation> overlay_;
-    std::vector<StreamId> admitted_;
-    std::shared_ptr<SqprSolveCache> cache_;
-    std::map<SolveKey, std::shared_ptr<const SolveArtifacts>> artifacts_;
-    mutable std::once_flag once_;
-    mutable std::unique_ptr<SqprPlanner> materialized_;
-  };
-
-  /// Captures the committed state as a Snapshot in O(changes since the
-  /// last rebase): the core is a shared_ptr copy, the overlay is the
-  /// deployment's mutation journal. Rebases (one full copy) when the
-  /// journal exceeds Options::snapshot_rebase_threshold. Loop-thread
-  /// only, like every other mutator.
-  std::shared_ptr<const Snapshot> MakeSnapshot(SnapshotStats* stats = nullptr);
-
   // ---- Checkpoint support (src/service/checkpoint.h). ----
 
   /// Mutable access to the committed deployment, for restore-time
   /// reconstruction only: the restorer replays the checkpointed
   /// structure through the ordinary mutators, calls
   /// RefreshAccounting() to canonicalize the ledger floats, then
-  /// reinstates the version counters. Never call while snapshots or
-  /// proposals are in flight.
+  /// reinstates the version counters. Never call while proposals are in
+  /// flight.
   Deployment* mutable_deployment() { return &deployment_; }
 
   /// Reinstates the admitted-query list (submission order) alongside a
@@ -287,13 +234,10 @@ class SqprPlanner : public Planner {
   Options options_;
   Deployment deployment_;
   std::vector<StreamId> admitted_;
-  /// Last rebase point of MakeSnapshot; outstanding snapshots keep it
-  /// alive after the planner moves on. Null until the first snapshot.
-  std::shared_ptr<const Deployment> snapshot_core_;
 
   // ---- Incremental-solve state (performance-only; see model_cache.h).
   // The model cache is shared — by pointer — with every scratch planner
-  // and snapshot spawned from this one, so speculative solves on worker
+  // and planner copy spawned from this one, so speculative solves on worker
   // threads benefit from (and refill) the same pool. The artifact table
   // is value-copied into scratch planners; updates flow back through the
   // proposal (AdmissionProposal::artifacts → CommitProposal), which

@@ -76,13 +76,13 @@ Result<std::string> ReadFileToString(const std::string& path) {
 
 namespace {
 
-/// ServiceStats members a checkpoint carries: exactly the counters the
-/// replay property suite ties across worker counts and pipeline depths.
-/// Depth/worker-variant counters (dispatches, conflicts, unwinds,
-/// snapshot and model telemetry) and wall-clock observations (histograms,
-/// watchdog breaches, deadline counters) deliberately restart at zero —
-/// serializing them would make the checkpoint bytes depend on the very
-/// knobs the determinism contract quantifies over.
+/// ServiceStats members a checkpoint carries: the counters that describe
+/// committed outcomes. Speculation counters (dispatches, conflicts,
+/// unwinds, snapshot and model telemetry) and wall-clock observations
+/// (histograms, watchdog breaches, deadline counters) deliberately
+/// restart at zero — they describe how one process got there, and
+/// serializing them would tie the checkpoint bytes to operational
+/// detail rather than committed state.
 struct StatField {
   const char* name;
   int64_t ServiceStats::*member;
@@ -285,8 +285,8 @@ Status DecodeTrajectory(const JsonValue& v, RateTrajectory* t,
 // ---------------------------------------------------------------------------
 
 Result<std::string> PlanningService::ExportCheckpoint() {
-  // A checkpoint is a pipeline barrier: retire in-flight rounds exactly
-  // as a monitor report would, bring the reuse index up to date and
+  // A checkpoint is a barrier: commit the in-flight round exactly as a
+  // monitor report would, bring the reuse index up to date and
   // canonicalize the deployment's ledger floats (RecomputeAggregates
   // rebuilds them from the catalog in one fixed order, erasing any
   // history-dependent summation error). Both sides of the crash-restore
@@ -344,8 +344,8 @@ Result<std::string> PlanningService::ExportCheckpoint() {
   // Committed deployment structure, in replayable order: operator
   // placements and serving arcs enumerate canonically (hosts/streams
   // ascending); flows keep each stream's insertion order, which the
-  // restore replays verbatim so the rebuilt flow lists — and hence any
-  // later journal/snapshot overlay — are bit-identical.
+  // restore replays verbatim so the rebuilt flow lists are
+  // bit-identical.
   const Deployment& dep = planner_.deployment();
   JsonValue d = JsonValue::Object();
   d.Set("version", JsonValue::Int(static_cast<int64_t>(dep.version())));
@@ -434,7 +434,7 @@ Result<std::string> PlanningService::ExportCheckpoint() {
 // ---------------------------------------------------------------------------
 
 Status PlanningService::RestoreCheckpoint(const std::string& json) {
-  if (stats_.events != 0 || clock_.now_ms() != 0 || !inflight_.empty() ||
+  if (stats_.events != 0 || clock_.now_ms() != 0 || inflight_.has_value() ||
       !queue_.empty()) {
     return Status::FailedPrecondition(
         "RestoreCheckpoint requires a freshly constructed service");

@@ -61,7 +61,7 @@ PlanningService::PlanningService(Cluster* cluster, Catalog* catalog,
     telemetry_ =
         std::make_unique<MeasurementEngine>(catalog, options_.telemetry);
   }
-  // The scheduler audits its own enqueue/discard/requeue decisions;
+  // The scheduler audits its own enqueue/discard decisions;
   // it shares the service's journal and virtual clock.
   scheduler_.set_audit(options_.audit, &clock_);
 }
@@ -97,8 +97,6 @@ void ServiceMetricsPublisher::Publish(const ServiceStats& stats) {
        &last_.cache_delta_updates);
   Bump("service.snapshot_bytes_copied", stats.snapshot_bytes_copied,
        &last_.snapshot_bytes_copied);
-  Bump("service.snapshot_rebases", stats.snapshot_rebases,
-       &last_.snapshot_rebases);
   Bump("service.evictions", stats.evictions, &last_.evictions);
   Bump("service.replan_rounds", stats.replan_rounds, &last_.replan_rounds);
   Bump("service.replanned_admitted", stats.replanned_admitted,
@@ -244,24 +242,20 @@ Result<EventOutcome> PlanningService::Step() {
   // Handlers below mutate *published* state the worker solves read
   // through shared pointers — measured-rate installation rewrites
   // catalog entries in place, failure/join swaps host specs — so they
-  // must retire the whole in-flight pipeline first: commit the oldest
-  // round (the barrier is its pinned commit point) and unwind the
-  // younger speculative ones back to the scheduler. (Arrivals are
-  // exempt: they only *intern*, which the catalog synchronises
-  // internally.) This barrier is also what keeps replays deterministic:
-  // rounds commit at fixed logical points, never "when the solve
-  // happens to finish" — and never *early* at a barrier, which would
-  // let pipeline depth move their solves ahead of the rate install.
+  // must commit the in-flight round first. (Arrivals are exempt: they
+  // only *intern*, which the catalog synchronises internally.) This
+  // barrier is also what keeps replays deterministic: rounds commit at
+  // fixed logical points, never "when the solve happens to finish".
   switch (event.kind) {
     case EventKind::kHostFailure:
     case EventKind::kHostJoin:
     case EventKind::kMonitorReport:
-      RetireAllRounds(&outcome);
+      CommitInFlightRound(&outcome);
       break;
     case EventKind::kTick:
       // A measuring tick is a monitor report the service writes itself:
       // it crosses the same barrier before installing measured rates.
-      if (MeasurementDue()) RetireAllRounds(&outcome);
+      if (MeasurementDue()) CommitInFlightRound(&outcome);
       break;
     default:
       break;
@@ -370,13 +364,9 @@ Status PlanningService::RunUntilIdle(std::vector<EventOutcome>* outcomes) {
 }
 
 void PlanningService::FinishInFlightRound() {
-  if (inflight_.empty()) return;
+  if (!inflight_) return;
   EventOutcome scratch;  // results land in the aggregate stats_
-  // Same semantics as a barrier: only the oldest round's pinned commit
-  // point is due, so only it commits; younger speculative rounds return
-  // to the scheduler. A depth-1 service stopped here holds exactly this
-  // state — those rounds still queued, not yet dispatched.
-  RetireAllRounds(&scratch);
+  CommitInFlightRound(&scratch);
   SyncPlanCache();
 }
 
@@ -425,8 +415,7 @@ void PlanningService::SyncPlanCache() {
 }
 
 Result<PlanningStats> PlanningService::Admit(StreamId query,
-                                             int* reuse_candidates,
-                                             bool overlapped_arrival) {
+                                             int* reuse_candidates) {
   if (query < 0 || query >= catalog_->num_streams()) {
     return Status::InvalidArgument("unknown stream " + std::to_string(query));
   }
@@ -484,19 +473,18 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
     return dedup;
   }
 
-  // Cache miss: speculative solve on the loop thread, overlapping any
-  // in-flight re-planning rounds. WarmCatalog pre-interns the query's
+  // Cache miss: speculative solve on the loop thread, overlapping the
+  // in-flight re-planning round. WarmCatalog pre-interns the query's
   // join closure — the only catalog *writes* a solve needs, performed
   // here on the loop thread so StreamId assignment stays at a
   // deterministic point (interning itself is thread-safe; workers
   // reading the catalog concurrently only ever see published entries).
   // The solve then runs against a private copy of the committed state
-  // and commits its delta immediately; in-flight rounds keep solving
-  // throughout and reconcile at their own pinned commit points (FIFO,
-  // conflicts re-solved).
-  if (!inflight_.empty() && overlapped_arrival) {
-    ++stats_.overlapped_arrival_solves;
-  }
+  // and commits its delta immediately; the in-flight round keeps solving
+  // throughout and reconciles at its own commit point (conflicts
+  // re-solved). A conflict re-solve of that round runs after the round
+  // left flight, so it never counts as overlapped.
+  if (inflight_) ++stats_.overlapped_arrival_solves;
   const Status warmed = WarmCatalogLogged(query);
   if (!warmed.ok()) {
     SampleStage(&stats_.admit_ms, watch.ElapsedMillis(),
@@ -523,10 +511,8 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
               options_.watchdog.commit_budget_ms,
               &stats_.commit_budget_breaches);
   if (!stats.ok() && stats.status().IsFailedPrecondition()) {
-    // The strict version gate bounced the proposal: the conflict
-    // re-solves of a round commit (which call back into Admit while
-    // younger rounds are in flight) and test injection can both land a
-    // commit between this arrival's propose and commit. Re-solve as a
+    // The strict version gate bounced the proposal: only test injection
+    // can land a commit between this propose and commit. Re-solve as a
     // fresh propose/commit pair against the live state — adjacent on
     // the loop thread, so the retry cannot conflict again — and sample
     // each leg where an inline solve would have: the fresh solve's wall
@@ -691,15 +677,10 @@ void PlanningService::HandleDeparture(const Event& event,
     AuditFingerprint(&dr, /*post=*/false);
   }
   scheduler_.Discard(event.query);
-  // A query sits in at most one in-flight round (re-enqueues only
-  // happen at barriers, which drain the pipeline first), but scan them
-  // all: the discard must land in the round that carries it.
-  for (InFlightRound& round : inflight_) {
-    if (std::find(round.queries.begin(), round.queries.end(), event.query) !=
-        round.queries.end()) {
-      round.discards.insert(event.query);
-      break;
-    }
+  if (inflight_ && std::find(inflight_->queries.begin(),
+                             inflight_->queries.end(),
+                             event.query) != inflight_->queries.end()) {
+    inflight_->discards.insert(event.query);
   }
   auto it = std::find(rejected_recently_.begin(), rejected_recently_.end(),
                       event.query);
@@ -932,21 +913,16 @@ Status PlanningService::HandleSelfMeasurement(EventOutcome* outcome) {
 }
 
 void PlanningService::DrainReplanRounds(EventOutcome* outcome) {
-  // Commit the oldest round — dispatched at least one event ago; with
-  // workers it had that event's entire processing to solve in the
-  // background — then top the pipeline back up against the state as of
-  // *this* event's mutations. Committing before filling means a round
-  // dispatched here never commits here: its pinned point is the next
-  // event, at every depth. Identical for every worker count: with
-  // workers == 0 the dispatches below solve synchronously, producing
-  // exactly the proposals a pool would have computed from snapshots
-  // taken at the same points.
-  CommitOldestRound(outcome);
-  const int depth = std::max(1, options_.replan.pipeline_depth);
-  while (static_cast<int>(inflight_.size()) < depth &&
-         scheduler_.HasPending()) {
-    DispatchReplanRound();
-  }
+  // Commit the in-flight round — dispatched one event ago; with workers
+  // it had that event's entire processing to solve in the background —
+  // then dispatch the next one against the state as of *this* event's
+  // mutations. Committing before dispatching means a round dispatched
+  // here never commits here: its commit point is the next event.
+  // Identical for every worker count: with workers == 0 the dispatch
+  // below solves synchronously, producing exactly the proposals a pool
+  // would have computed from a planner copy taken at the same point.
+  CommitInFlightRound(outcome);
+  DispatchReplanRound();
 }
 
 void PlanningService::DispatchReplanRound() {
@@ -974,38 +950,32 @@ void PlanningService::DispatchReplanRound() {
       static_cast<int>(flight.queries.size()));
   if (pool_ == nullptr) {
     // Inline mode: the speculative solves run right here against the
-    // live planner — the same inputs a snapshot taken at this point
+    // live planner — the same inputs a planner copy taken at this point
     // would give a worker, so the proposals (and everything downstream
-    // of the shared commit path) are bit-identical across worker
-    // counts. With pipeline_depth > 1 this round may be speculating
-    // past an uncommitted older round, exactly like a worker would:
-    // the live planner holds only *committed* state, so the solve sees
-    // the same snapshot-equivalent view.
+    // of the shared commit path) are bit-identical across worker counts.
     for (size_t i = 0; i < flight.queries.size(); ++i) {
       (*flight.proposals)[i] = planner_.ProposeAdmission(flight.queries[i]);
       flight.latch->CountDown();
     }
   } else {
-    // Copy-on-write snapshot: a shared immutable core plus the mutation
-    // journal since the last rebase — O(changes) on the loop thread.
-    // The first worker to need it materialises the full planner copy
-    // off this thread (the deep copy the dispatch used to pay here).
-    SqprPlanner::SnapshotStats snap_stats;
+    // The workers solve against a const copy of the committed planner:
+    // the loop thread keeps mutating the live one while they run.
     {
-      SQPR_TRACE_SPAN_ARGS(snap_span, "service/snapshot.make", "bytes_copied",
-                           "rebased");
-      flight.snapshot = planner_.MakeSnapshot(&snap_stats);
-      snap_span.set_args(snap_stats.bytes_copied, snap_stats.rebased ? 1 : 0);
+      SQPR_TRACE_SPAN_ARGS(copy_span, "service/snapshot.make", "bytes_copied",
+                           nullptr);
+      flight.planner = std::make_shared<const SqprPlanner>(planner_);
+      const size_t bytes =
+          planner_.deployment().ApproxSizeBytes() +
+          planner_.admitted_queries().size() * sizeof(StreamId);
+      copy_span.set_args(bytes);
+      stats_.snapshot_bytes_copied += static_cast<int64_t>(bytes);
     }
-    stats_.snapshot_bytes_copied +=
-        static_cast<int64_t>(snap_stats.bytes_copied);
-    if (snap_stats.rebased) ++stats_.snapshot_rebases;
     for (size_t i = 0; i < flight.queries.size(); ++i) {
       // Tasks capture the shared state by value, never `this`: the
       // pool's destructor (which drains and joins) is then always safe.
-      pool_->Submit([snapshot = flight.snapshot, proposals = flight.proposals,
+      pool_->Submit([planner = flight.planner, proposals = flight.proposals,
                      latch = flight.latch, i, query = flight.queries[i]] {
-        (*proposals)[i] = snapshot->ProposeAdmission(query);
+        (*proposals)[i] = planner->ProposeAdmission(query);
         latch->CountDown();
       });
     }
@@ -1019,7 +989,7 @@ void PlanningService::DispatchReplanRound() {
     r.streams.assign(flight.queries.begin(), flight.queries.end());
     AuditAppend(std::move(r));
   }
-  inflight_.push_back(std::move(flight));
+  inflight_ = std::move(flight);
   ++stats_.replan_dispatches;
   // Crash point: a round has been dispatched but not committed. A
   // checkpoint taken before this event never saw the round, so restore
@@ -1027,10 +997,11 @@ void PlanningService::DispatchReplanRound() {
   fault::MaybeCrash("mid-round");
 }
 
-void PlanningService::CommitOldestRound(EventOutcome* outcome) {
-  if (inflight_.empty()) return;
-  InFlightRound flight = std::move(inflight_.front());
-  inflight_.pop_front();
+void PlanningService::CommitInFlightRound(EventOutcome* outcome) {
+  if (!inflight_) return;
+  // Out of flight before any conflict re-solve below calls Admit.
+  InFlightRound flight = std::move(*inflight_);
+  inflight_.reset();
 
   SQPR_TRACE_SPAN_ARGS(span, "service/round.commit", "round", "queries");
   span.set_args(flight.id, flight.queries.size());
@@ -1046,10 +1017,8 @@ void PlanningService::CommitOldestRound(EventOutcome* outcome) {
 
   ++stats_.replan_rounds;
   // Canonical round sequencing: a round that commits with at least one
-  // un-departed query consumes the next sequence number. Rounds whose
-  // every query departed in flight exist only at depth > 1 (depth 1
-  // discards them in the scheduler before dispatch), so they must not
-  // number — the journal's round column stays depth-invariant.
+  // un-departed query consumes the next sequence number; a round whose
+  // every query departed in flight does not.
   std::vector<int64_t> live;
   for (StreamId q : flight.queries) {
     if (flight.discards.count(q) == 0) live.push_back(q);
@@ -1071,8 +1040,7 @@ void PlanningService::CommitOldestRound(EventOutcome* outcome) {
     const Result<AdmissionProposal>& proposal = (*flight.proposals)[i];
     if (flight.discards.count(q) > 0) {
       // Departed after dispatch: drop the proposal — the async twin of
-      // the scheduler discard a depth-1 service performed directly (and
-      // audited there), hence speculative here.
+      // the scheduler discard (audited there), hence speculative here.
       if (AuditOn()) {
         obs::AuditRecord r = AuditBase("replan.discard");
         r.speculative = true;
@@ -1116,13 +1084,12 @@ void PlanningService::CommitOldestRound(EventOutcome* outcome) {
       }
       // FailedPrecondition: the strict version gate found the committed
       // state structurally diverged from the proposal's base — an
-      // arrival, a departure with fallout, an earlier commit in this
-      // round, or (depth > 1) a whole older round committed since this
-      // round's snapshot. Fall through to a synchronous re-solve
-      // against the live state — still deterministic, since it depends
-      // only on the commit order, and warm: the model cache and the
-      // artifacts installed by whichever commit caused the conflict
-      // are exactly the structures the retry re-solves against.
+      // arrival, a departure with fallout or an earlier commit in this
+      // round. Fall through to a synchronous re-solve against the live
+      // state — still deterministic, since it depends only on the
+      // commit order, and warm: the model cache and the artifacts
+      // installed by whichever commit caused the conflict are exactly
+      // the structures the retry re-solves against.
     } else {
       SQPR_LOG_WARN << "speculative solve for query " << q
                     << " failed: " << proposal.status().ToString();
@@ -1132,9 +1099,9 @@ void PlanningService::CommitOldestRound(EventOutcome* outcome) {
 
     if (!resolved) {
       ++stats_.commit_conflicts;
-      // Conflict counts are depth-variant (deeper pipelines speculate
-      // across more uncommitted state), so the record is speculative;
-      // the resolution below lands in the canonical per-query record.
+      // The conflict is a speculation artifact, so the record is
+      // speculative; the resolution below lands in the canonical
+      // per-query record.
       if (AuditOn()) {
         obs::AuditRecord r = AuditBase("replan.conflict");
         r.speculative = true;
@@ -1143,8 +1110,7 @@ void PlanningService::CommitOldestRound(EventOutcome* outcome) {
         r.dispatch_id = flight.id;
         AuditAppend(std::move(r));
       }
-      Result<PlanningStats> stats =
-          Admit(q, nullptr, /*overlapped_arrival=*/false);
+      Result<PlanningStats> stats = Admit(q, nullptr);
       admitted = stats.ok() && stats->admitted;
       solve_failed = !stats.ok();
       if (stats.ok()) solve_wall_ms = stats->wall_ms;
@@ -1174,59 +1140,6 @@ void PlanningService::CommitOldestRound(EventOutcome* outcome) {
   if (AuditOn() && !live.empty()) {
     AuditFingerprint(&round_r, /*post=*/true);
     AuditAppend(std::move(round_r));
-  }
-}
-
-void PlanningService::UnwindYoungestRound() {
-  InFlightRound flight = std::move(inflight_.back());
-  inflight_.pop_back();
-
-  SQPR_TRACE_SPAN_ARGS(span, "service/round.unwind", "round", "queries");
-  Stopwatch wait;
-  {
-    // The proposals are dropped unread, but the solves must still
-    // quiesce: workers read the shared catalog, and the barrier handler
-    // about to run rewrites published entries in place
-    // (Catalog::UpdateBaseRate, host spec swaps).
-    SQPR_TRACE_SPAN("service/round.barrier");
-    flight.latch->Wait();
-  }
-  SampleStage(&stats_.barrier_ms, wait.ElapsedMillis(),
-              options_.watchdog.barrier_budget_ms,
-              &stats_.barrier_budget_breaches);
-
-  std::vector<StreamId> requeue;
-  requeue.reserve(flight.queries.size());
-  for (StreamId q : flight.queries) {
-    if (flight.discards.count(q) == 0) requeue.push_back(q);
-  }
-  span.set_args(flight.id, requeue.size());
-  if (AuditOn()) {
-    obs::AuditRecord r = AuditBase("round.unwind");
-    r.speculative = true;
-    r.detail = static_cast<int64_t>(requeue.size());
-    r.dispatch_id = flight.id;
-    r.streams.assign(requeue.begin(), requeue.end());
-    AuditAppend(std::move(r));
-  }
-  // Front of the scheduler, as one group: the next dispatch pops this
-  // exact round again. Discarded (departed) queries stay out, matching
-  // the scheduler discard a depth-1 service performed directly.
-  scheduler_.Requeue(requeue);
-  ++stats_.round_unwinds;
-}
-
-void PlanningService::RetireAllRounds(EventOutcome* outcome) {
-  // The oldest round's pinned commit point coincides with the barrier,
-  // so it commits; every younger round is ahead of its point and
-  // unwinds instead. Committing them here would move their solves
-  // before the barrier's rate/spec installation — state depth 1 only
-  // lets them see *after* it — breaking cross-depth bit-identity.
-  // Unwinding youngest-first stacks the requeued groups so the oldest
-  // unwound round ends up frontmost, preserving FIFO order.
-  CommitOldestRound(outcome);
-  while (!inflight_.empty()) {
-    UnwindYoungestRound();
   }
 }
 

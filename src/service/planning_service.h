@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -70,18 +71,16 @@ struct ServiceOptions {
   bool closed_loop = false;
   TelemetryOptions telemetry;
   /// Test-only injection point: invoked on the loop thread between an
-  /// arrival's speculative ProposeAdmission and its CommitProposal —
-  /// the one propose/commit adjacency the pipelined service still
-  /// guarantees by construction. Mutating the planner here forces the
-  /// strict version gate to bounce the arrival's proposal, driving the
-  /// conflict-fallback path deterministically at any pipeline depth
-  /// (service_test uses it at depth 1). Never invoked for the
-  /// fallback's own re-solve. Leave null outside tests.
+  /// arrival's speculative ProposeAdmission and its CommitProposal.
+  /// Mutating the planner here forces the strict version gate to bounce
+  /// the arrival's proposal, driving the conflict-fallback path
+  /// deterministically. Never invoked for the fallback's own re-solve.
+  /// Leave null outside tests.
   std::function<void(SqprPlanner&)> inject_between_propose_and_commit;
   /// Decision audit journal (null = auditing off, zero cost). Emission
   /// happens on the loop thread at commit points only, so the canonical
   /// record stream inherits the determinism contract: byte-identical
-  /// across workers {0,1,4} x pipeline depth {1,2,4} (see
+  /// across workers {0,1,4} (see
   /// obs/audit.h and docs/ARCHITECTURE.md §7). Must outlive the
   /// service. Auditing reads state and never gates behaviour — replay
   /// fingerprints are bit-identical with it on or off.
@@ -145,35 +144,26 @@ struct ServiceStats {
   /// serving-only departures) instead of a full grounded-fixpoint
   /// rebuild. Rebuild/no-op counts live on the PlanCache itself.
   int64_t cache_delta_updates = 0;
-  /// Bytes MakeSnapshot copied on the loop thread to hand re-planning
-  /// rounds their inputs (overlay + admitted list, plus the full
-  /// deployment on the amortised rebases) — O(changes since the last
-  /// *rebase*, bounded by the rebase threshold) instead of the retired
-  /// per-round planner deep copy.
+  /// Bytes copied on the loop thread to hand worker-solved rounds their
+  /// input: one planner copy per dispatch, counted as the deployment's
+  /// ApproxSizeBytes() plus the admitted list. Zero with workers == 0,
+  /// whose solves read the live planner.
   int64_t snapshot_bytes_copied = 0;
-  /// Snapshot rebases (full-copy epochs) within the count above.
-  int64_t snapshot_rebases = 0;
   int64_t evictions = 0;
   int64_t replan_rounds = 0;
   int64_t replanned_admitted = 0;
   int64_t replanned_rejected = 0;
-  /// Rounds entered into the speculative pipeline (every worker count
-  /// runs it; with workers >= 1 the solves go to the pool), and
+  /// Rounds dispatched for speculative solving (every worker count
+  /// dispatches them; with workers >= 1 the solves go to the pool), and
   /// proposals that no longer applied at commit time and were re-solved
-  /// synchronously on the loop thread. Neither is pipeline-depth
-  /// invariant: deeper pipelines dispatch the same rounds earlier
-  /// (sometimes re-dispatching after a barrier unwind) and speculate
-  /// across not-yet-committed older rounds, so they conflict more —
-  /// the price of starting solves early. The *committed* outcomes stay
-  /// bit-identical; see docs/ARCHITECTURE.md §4.
+  /// synchronously on the loop thread — an arrival or an earlier commit
+  /// in the same round changed the structure the proposal was solved
+  /// against. See docs/ARCHITECTURE.md §4.
   int64_t replan_dispatches = 0;
   int64_t commit_conflicts = 0;
-  /// Speculative rounds unwound — proposals discarded, queries returned
-  /// to the front of the scheduler — because a barrier event (monitor
-  /// report, host failure/join, measuring tick) retired the pipeline
-  /// before their pinned commit points. Only rounds *past* the oldest
-  /// unwind (the oldest commits at the barrier, exactly as depth 1
-  /// would); depth 1 therefore never unwinds.
+  /// Always 0: barriers commit the one round in flight, so no round is
+  /// ever unwound. Kept so existing stats readers and benches keep their
+  /// schema.
   int64_t round_unwinds = 0;
   /// Cache-miss arrival solves performed while a re-planning round was
   /// in flight (dispatched, not yet committed) — the overlap the
@@ -223,8 +213,8 @@ struct ServiceStats {
   // organically — quantiles no longer need sample storage or a re-sort
   // per report.
   /// One admission through the cache-then-solve path (arrivals and
-  /// re-planning re-solves), excluding any in-flight-round retirement
-  /// it triggered — that time is reported under barrier/commit/solve.
+  /// re-planning re-solves), excluding any in-flight-round commit it
+  /// triggered — that time is reported under barrier/commit/solve.
   obs::Histogram admit_ms;
   /// Individual planner solves: inline arrival/re-planning solves and
   /// worker-side speculative solves alike.
@@ -299,43 +289,30 @@ class ServiceMetricsPublisher {
 ///                     rates) and feeds it through the same §IV-B path;
 ///   kRateDirective  — install a ground-truth rate trajectory into the
 ///                     closed loop's rate model (ignored open-loop).
-/// Every event ends by committing the oldest in-flight re-admission
-/// round and topping the pipeline back up with the next bounded ones,
-/// so planning latency per event stays bounded no matter how large a
-/// failure or drift report is.
+/// Every event ends by committing the in-flight re-admission round and
+/// dispatching the next bounded one, so planning latency per event stays
+/// bounded no matter how large a failure or drift report is.
 ///
-/// Threading: re-planning rounds run through a speculative
-/// propose/commit pipeline at *every* worker count, up to
-/// ReplanPolicyOptions::pipeline_depth rounds deep. Each round pins its
-/// own planner snapshot at dispatch and commits at a fixed logical
-/// point: exactly one round — the oldest — commits per Step(), FIFO in
-/// dispatch order, so a round dispatched at the end of event N commits
-/// at the end of event N+1 regardless of how many younger rounds were
-/// dispatched behind it. Depth only moves dispatches earlier, never
-/// commits: committed deployments are bit-identical across worker
-/// counts AND pipeline depths. Rounds beyond the oldest speculate
-/// against snapshots that older commits may invalidate; the planner's
-/// strict structure-version gate bounces any stale proposal at its
-/// pinned commit point (installing none of its solve artifacts) and the
-/// service re-solves it inline against the live state — deterministic,
-/// since it depends only on the commit order (the commit_conflicts
-/// counter; warm-started, so the retry is cheap). With workers >= 1 the
-/// solves run on a pool against immutable snapshots while the loop
-/// thread keeps consuming events; with workers == 0 they run
-/// synchronously at dispatch against the live planner — the same state
-/// the snapshot would capture. Cache-miss arrivals solve speculatively
-/// on the loop thread (WarmCatalog + ProposeAdmission +
-/// CommitProposal) *without* retiring in-flight rounds: catalog
+/// Threading: at most one re-planning round is in flight, at *every*
+/// worker count. It is dispatched at the end of event N against a const
+/// copy of the planner and commits at the end of event N+1 (or at an
+/// earlier barrier), so committed deployments are bit-identical across
+/// worker counts. Arrivals committed during event N+1 can make a
+/// proposal stale; the planner's strict structure-version gate bounces
+/// it at commit (installing none of its solve artifacts) and the service
+/// re-solves it inline against the live state — deterministic, since it
+/// depends only on the commit order (the commit_conflicts counter;
+/// warm-started, so the retry is cheap). With workers >= 1 the solves
+/// run on a pool while the loop thread keeps consuming events; with
+/// workers == 0 they run synchronously at dispatch against the live
+/// planner — the state the copy would capture. Cache-miss arrivals solve
+/// speculatively on the loop thread (WarmCatalog + ProposeAdmission +
+/// CommitProposal) *without* committing the in-flight round: catalog
 /// interning is internally synchronised and workers only ever read
 /// published entries. Events that mutate state workers read in place —
 /// monitor reports (measured-rate installation), host failure/join
-/// (spec swaps), measuring ticks — still retire the whole pipeline
-/// first: the oldest round commits (its pinned point coincides with
-/// the barrier), and every younger round *unwinds* — proposals
-/// dropped, un-departed queries returned to the front of the scheduler
-/// — so the post-barrier schedule is exactly the one depth 1 would
-/// have. See docs/ARCHITECTURE.md for the full model and determinism
-/// contract.
+/// (spec swaps), measuring ticks — commit the in-flight round first.
+/// See docs/ARCHITECTURE.md for the full model and determinism contract.
 class PlanningService {
  public:
   /// The service mutates `cluster` (host failure/rejoin) and `catalog`
@@ -353,18 +330,13 @@ class PlanningService {
   Result<EventOutcome> Step();
 
   /// Drains the queue; outcomes are appended when `outcomes` != nullptr.
-  /// Ends by retiring the in-flight pipeline (commit the oldest round,
-  /// unwind the rest), so the returned-to deployment and the pending
-  /// backlog are bit-identical across pipeline depths.
+  /// Ends by committing the in-flight round.
   Status RunUntilIdle(std::vector<EventOutcome>* outcomes = nullptr);
 
-  /// Retires the in-flight pipeline, if any (no-op when empty): waits
-  /// for and commits the *oldest* round — the one whose pinned commit
-  /// point is due — and unwinds younger speculative rounds back to the
-  /// front of the scheduler, exactly as a barrier event would. Queued
-  /// backlog stays pending. Call after stepping the service manually to
-  /// a stopping point; the resulting state matches a depth-1 service
-  /// stopped at the same point.
+  /// Waits for and commits the in-flight round, if any (no-op when
+  /// none), exactly as a barrier event would. Queued backlog stays
+  /// pending. Call after stepping the service manually to a stopping
+  /// point.
   void FinishInFlightRound();
 
   /// Translates a cluster-simulation report into a monitor-report event
@@ -396,31 +368,28 @@ class PlanningService {
   bool HostActive(HostId h) const;
   /// Re-planning candidates not yet resolved: queued in the scheduler
   /// plus those in flight, minus in-flight queries that departed after
-  /// dispatch (their proposals will be dropped, matching the scheduler
-  /// discard a depth-1 service would have performed — the subtraction
-  /// keeps this count pipeline-depth invariant).
+  /// dispatch (their proposals will be dropped).
   int pending_replans() const {
     int pending = static_cast<int>(scheduler_.pending());
-    for (const InFlightRound& round : inflight_) {
-      pending +=
-          static_cast<int>(round.queries.size() - round.discards.size());
+    if (inflight_) {
+      pending += static_cast<int>(inflight_->queries.size() -
+                                  inflight_->discards.size());
     }
     return pending;
   }
   /// Worker threads solving re-planning rounds (0 = solves run on the
-  /// loop thread at dispatch; the pipeline and results are identical).
+  /// loop thread at dispatch; the rounds and results are identical).
   int workers() const { return pool_ ? pool_->num_threads() : 0; }
 
   // ---- Crash durability (implemented in src/service/checkpoint.cc;
   // see docs/ARCHITECTURE.md "Durability & degraded modes"). ----
 
   /// Serializes the full service state as a sqpr-checkpoint-v1 JSON
-  /// document. A checkpoint is a *pipeline barrier*: the call first
-  /// retires any in-flight rounds (commit the oldest, unwind the rest),
-  /// syncs the plan cache and canonicalizes the deployment ledgers —
-  /// the same quiesce every barrier event performs — so the serialized
-  /// state is worker/depth-invariant and the exported bytes are
-  /// byte-identical across worker counts and pipeline depths. Restoring
+  /// document. A checkpoint is a *barrier*: the call first commits the
+  /// in-flight round, syncs the plan cache and canonicalizes the
+  /// deployment ledgers — the same quiesce every barrier event performs
+  /// — so the serialized state is worker-invariant and the exported
+  /// bytes are byte-identical across worker counts. Restoring
   /// it into a freshly constructed service (same cluster/catalog/
   /// options provenance) and replaying the remaining events produces
   /// bit-identical committed deployments to an uninterrupted run that
@@ -440,28 +409,25 @@ class PlanningService {
   Status RestoreCheckpoint(const std::string& json);
 
  private:
-  /// One re-planning round in the speculative pipeline. With workers,
-  /// tasks capture the shared_ptr state (never `this`), so destruction
-  /// order is never a hazard: the pool joins before anything else is
-  /// torn down. With workers == 0 the proposals are already solved and
-  /// the latch already open when the round enters flight.
+  /// The re-planning round in flight. With workers, tasks capture the
+  /// shared_ptr state (never `this`), so destruction order is never a
+  /// hazard: the pool joins before anything else is torn down. With
+  /// workers == 0 the proposals are already solved and the latch already
+  /// open when the round enters flight.
   struct InFlightRound {
-    /// Monotonic dispatch id, tagged onto the round's
-    /// dispatch/commit/unwind trace spans so a flight recording
-    /// correlates the three ends of one round across the pipeline.
+    /// Monotonic dispatch id, tagged onto the round's dispatch/commit
+    /// trace spans so a flight recording correlates both ends of one
+    /// round.
     int64_t id = 0;
     std::vector<StreamId> queries;
     /// Queries that departed after this round dispatched; their
-    /// proposals are dropped at commit/unwind (the async twin of
-    /// ReplanScheduler::Discard). Scoped per round: with several rounds
-    /// in flight, a departure must only suppress the copy of the query
-    /// in the round that actually carries it.
+    /// proposals are dropped at commit (the async twin of
+    /// ReplanScheduler::Discard).
     std::set<StreamId> discards;
-    /// Copy-on-write view of the planner the solves run against (null
-    /// in inline mode, which solves against the live planner at
-    /// dispatch — the same state the snapshot materialises). Shared
-    /// core + O(changes) overlay; see SqprPlanner::MakeSnapshot.
-    std::shared_ptr<const SqprPlanner::Snapshot> snapshot;
+    /// Const copy of the planner at dispatch, which the worker solves
+    /// read (null in inline mode, which solves against the live planner
+    /// at dispatch — the same state).
+    std::shared_ptr<const SqprPlanner> planner;
     /// Slot i is written by the task solving queries[i]; the latch's
     /// CountDown/Wait pair publishes the writes to the loop thread.
     std::shared_ptr<std::vector<Result<AdmissionProposal>>> proposals;
@@ -477,14 +443,14 @@ class PlanningService {
   /// Shared §IV-B sink of measured data — scripted monitor reports and
   /// closed-loop self-measurements alike: Analyze, then RunDriftCycle
   /// into the bounded re-planning scheduler. Callers cross the monitor
-  /// barrier (retire the in-flight round) first: the cycle installs
+  /// barrier (commit the in-flight round) first: the cycle installs
   /// measured rates in place (Catalog::UpdateBaseRate).
   Status ApplyMonitorData(const std::map<StreamId, double>& measured_rates,
                           const std::vector<double>& cpu_utilization,
                           EventOutcome* outcome);
 
   /// True on the tick that will fire a closed-loop self-measurement —
-  /// used by Step() to retire the in-flight round first (same barrier a
+  /// used by Step() to commit the in-flight round first (same barrier a
   /// scripted kMonitorReport crosses).
   bool MeasurementDue() const {
     return telemetry_ != nullptr &&
@@ -495,43 +461,23 @@ class PlanningService {
   /// under the rate model's current truth, then ApplyMonitorData.
   Status HandleSelfMeasurement(EventOutcome* outcome);
 
-  /// End of every Step(): commits the oldest in-flight round (whose
-  /// pinned commit point is this event), then tops the pipeline back up
-  /// to pipeline_depth rounds against the state as of this event's
-  /// mutations (both worker counts).
+  /// End of every Step(): commits the in-flight round (dispatched at the
+  /// end of the previous event), then dispatches the next one against
+  /// the state as of this event's mutations (both worker counts).
   void DrainReplanRounds(EventOutcome* outcome);
 
   /// Pops the next round off the scheduler, pre-warms the catalog for
   /// its queries (the deterministic interning point) and solves them
   /// speculatively: on the worker pool (workers >= 1) or synchronously
-  /// right here (workers == 0). One round per call; DrainReplanRounds
-  /// loops it until pipeline_depth rounds are in flight.
+  /// right here (workers == 0).
   void DispatchReplanRound();
 
-  /// Blocks until the oldest in-flight round (if any) is solved, then
-  /// commits its proposals in FIFO order on the calling (loop) thread;
-  /// a proposal the strict version gate bounces is re-solved
-  /// synchronously. Exactly one round commits per call — the pinned
-  /// commit point that keeps committed deployments identical across
-  /// pipeline depths.
-  void CommitOldestRound(EventOutcome* outcome);
-
-  /// Pops the *youngest* in-flight round without committing it: waits
-  /// for its solves to quiesce (workers may be reading the catalog),
-  /// drops the proposals and returns the round's un-departed queries to
-  /// the front of the scheduler as one group, so the next dispatch pops
-  /// the same round again.
-  void UnwindYoungestRound();
-
-  /// The pipeline barrier every handler that mutates worker-read state
-  /// in place (measured rates, host specs) must cross first: commits
-  /// the oldest round — the barrier event is its pinned commit point —
-  /// and unwinds every younger round, youngest first, so the oldest
-  /// unwound group ends up frontmost in the scheduler. Committing the
-  /// younger rounds instead would let depth change committed state:
-  /// they would land *before* the barrier's rate/spec installation,
-  /// where depth 1 solves them after it.
-  void RetireAllRounds(EventOutcome* outcome);
+  /// Blocks until the in-flight round (if any) is solved, then commits
+  /// its proposals in order on the calling (loop) thread; a proposal the
+  /// strict version gate bounces is re-solved synchronously. Also the
+  /// barrier every handler that mutates worker-read state in place
+  /// (measured rates, host specs) crosses first.
+  void CommitInFlightRound(EventOutcome* outcome);
 
   // ---- Reuse-index (PlanCache) maintenance. ----
   //
@@ -550,20 +496,16 @@ class PlanningService {
   /// GC-less departures).
   void MarkCacheServing(StreamId stream, HostId before, HostId after);
   void MarkCacheRebuild() { cache_rebuild_ = true; }
-  /// Applies the queued maintenance (end of Step / round retirement).
+  /// Applies the queued maintenance (end of Step / round commit).
   void SyncPlanCache();
 
   /// Admits one query; shared by arrivals and re-planning re-solves.
   /// Tries the plan-cache fast path, then a speculative solve on the
   /// loop thread (WarmCatalog + ProposeAdmission + CommitProposal) that
-  /// overlaps any in-flight rounds instead of retiring them. When
+  /// overlaps the in-flight round instead of committing it first. When
   /// `reuse_candidates` is non-null it receives the number of
-  /// materialised proper-subquery hits. `overlapped_arrival` feeds the
-  /// overlapped_arrival_solves counter — true for genuine arrivals,
-  /// false for the commit-path conflict re-solves, which run while
-  /// younger rounds are legitimately still in flight.
-  Result<PlanningStats> Admit(StreamId query, int* reuse_candidates,
-                              bool overlapped_arrival = true);
+  /// materialised proper-subquery hits.
+  Result<PlanningStats> Admit(StreamId query, int* reuse_candidates);
 
   /// Wraps SqprPlanner::WarmCatalog: records the first-call order of
   /// warmed queries (the catalog intern log a checkpoint replays to
@@ -586,9 +528,9 @@ class PlanningService {
 
   // ---- Decision audit journal (options_.audit; all no-ops when off).
   // Canonical records are emitted at commit points only, so the stream
-  // is worker/depth-invariant; anything tied to speculative pipeline
-  // state is marked speculative and excluded from canonical rendering
-  // (see obs/audit.h). ----
+  // is worker-invariant; anything tied to speculative round state is
+  // marked speculative and excluded from canonical rendering (see
+  // obs/audit.h). ----
 
   bool AuditOn() const { return options_.audit != nullptr; }
   /// Builds a record stamped with the virtual time.
@@ -604,10 +546,8 @@ class PlanningService {
                    int64_t* breaches);
 
   /// Committed-round sequence for replan.round records: counts rounds
-  /// that committed with at least one non-discarded query. Rounds whose
-  /// every query departed in flight exist only at depth > 1 (depth 1
-  /// discards them in the scheduler before dispatch), so they must not
-  /// consume a sequence number.
+  /// that committed with at least one non-discarded query. A round whose
+  /// every query departed in flight consumes no sequence number.
   int64_t audit_round_seq_ = 0;
 
   Cluster* cluster_;
@@ -650,12 +590,11 @@ class PlanningService {
   /// instantly-expired test budget does exactly that).
   std::set<StreamId> deadline_retried_;
 
-  /// Speculative re-planning pipeline (every worker count), oldest
-  /// round at the front; at most ReplanPolicyOptions::pipeline_depth
-  /// rounds deep. The pool is declared last so it is destroyed —
-  /// joining its threads — before any other member; tasks only capture
-  /// the shared_ptrs inside InFlightRound, never `this`.
-  std::deque<InFlightRound> inflight_;
+  /// The speculative re-planning round in flight, if any (every worker
+  /// count). The pool is declared last so it is destroyed — joining its
+  /// threads — before any other member; tasks only capture the
+  /// shared_ptrs inside InFlightRound, never `this`.
+  std::optional<InFlightRound> inflight_;
   int64_t next_round_id_ = 0;
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -7,9 +7,7 @@
 // stand in for "any trace"; the two hand-written worker-invariance
 // cases in service_test.cc remain as focused regressions.
 //
-// Each trace is replayed with workers in {0, 1, 4} — and, open-loop,
-// across the full pipeline-depth {1, 2, 4} x workers {0, 1, 4} matrix
-// (the depth axis of the same contract). Per-replay state is
+// Each trace is replayed with workers in {0, 1, 4}. Per-replay state is
 // rebuilt from scratch (fresh catalog/cluster/workload from the same
 // seed): drift reports install measured rates into the catalog, so
 // nothing may leak between replays.
@@ -73,14 +71,11 @@ struct ReplayResult {
                     analytic_ticks, cache_delta_updates, cache_rebuilds,
                     pending_replans, valid);
   }
-  /// The subset additionally invariant across *pipeline depths*. The
-  /// speculative-attempt counters are defined per attempt, not per
-  /// logical outcome, so depth >= 2 legitimately moves them: unwound
-  /// rounds re-dispatch (replan_dispatches), manufactured staleness is
-  /// re-solved inline (commit_conflicts — and each conflict repairs the
-  /// reuse index with a rebuild instead of a delta, moving the cache
-  /// counters too).
-  auto DepthInvariantTie() const {
+  /// The committed-outcome subset, which a checkpoint restore must
+  /// reproduce. The speculative-attempt counters (replan_dispatches,
+  /// commit_conflicts and the cache counters a conflict moves) are not
+  /// checkpointed, so a restored process counts them from zero.
+  auto CommittedTie() const {
     return std::tie(fingerprint, admitted, rejected, dedup_hits,
                     cache_fast_path, evictions, replanned_admitted,
                     replanned_rejected, monitor_reports, rate_directives,
@@ -117,7 +112,6 @@ std::ostream& operator<<(std::ostream& os, const ReplayResult& r) {
 /// drift-heavy, ...), not twenty samples of one distribution.
 TraceConfig MakeTraceConfig(uint64_t seed) {
   TraceConfig tc;
-  tc.num_events = 36;
   tc.seed = seed * 977 + 13;
   tc.mean_gap_ms = 40;
   tc.arrival_weight = 1.0;
@@ -143,7 +137,7 @@ struct Scenario {
   std::vector<Event> trace;
 };
 
-Scenario MakeScenario(uint64_t seed, bool closed_loop) {
+Scenario MakeScenario(uint64_t seed, bool closed_loop, int num_events = 36) {
   Scenario s;
   s.cluster =
       std::make_unique<Cluster>(3, HostSpec{0.6, 70.0, 70.0, ""}, 140.0);
@@ -158,6 +152,7 @@ Scenario MakeScenario(uint64_t seed, bool closed_loop) {
   EXPECT_TRUE(workload.ok()) << workload.status().ToString();
 
   TraceConfig tc = MakeTraceConfig(seed);
+  tc.num_events = num_events;
   if (closed_loop) {
     // Drift slots become ground-truth trajectories and the tick weight
     // rises — the §IV-C measurements (and therefore every re-planning
@@ -173,8 +168,7 @@ Scenario MakeScenario(uint64_t seed, bool closed_loop) {
 }
 
 ServiceOptions MakeOptions(uint64_t seed, int workers, bool closed_loop,
-                           MeasureMode mode, int pipeline_depth,
-                           obs::AuditJournal* journal) {
+                           MeasureMode mode, obs::AuditJournal* journal) {
   ServiceOptions options;
   // The contract requires a node-bounded solver: a wall-clock deadline
   // that fires mid-search would make the incumbent depend on machine
@@ -182,7 +176,6 @@ ServiceOptions MakeOptions(uint64_t seed, int workers, bool closed_loop,
   options.planner.timeout_ms = 60000;
   options.planner.max_nodes = 80;
   options.replan.workers = workers;
-  options.replan.pipeline_depth = pipeline_depth;
   // Genuine N-thread coverage: the default clamps the pool to the core
   // count (a latency guard, see ReplanPolicyOptions), which on a 1-core
   // CI host would silently turn every workers=4 replay into workers=1
@@ -232,12 +225,11 @@ ReplayResult Harvest(PlanningService& service) {
 
 ReplayResult Replay(uint64_t seed, int workers, bool closed_loop = false,
                     MeasureMode mode = MeasureMode::kEngine,
-                    int pipeline_depth = 2,
                     obs::AuditJournal* journal = nullptr) {
   Scenario s = MakeScenario(seed, closed_loop);
   PlanningService service(
       s.cluster.get(), s.catalog.get(),
-      MakeOptions(seed, workers, closed_loop, mode, pipeline_depth, journal));
+      MakeOptions(seed, workers, closed_loop, mode, journal));
   for (const Event& e : s.trace) EXPECT_TRUE(service.Enqueue(e).ok());
   EXPECT_TRUE(service.RunUntilIdle().ok());
   if (journal != nullptr) service.FinalizeAudit();
@@ -310,80 +302,78 @@ TEST_P(ServiceReplayPropertyTest, AnalyticClosedLoopWorkerCountInvariant) {
       << "analytic loop: workers 0 vs 4 diverged, seed " << seed;
 }
 
-// The contract's second axis (docs/ARCHITECTURE.md §4): the pipeline
-// depth moves round dispatches earlier but never moves a commit point,
-// so replaying the same open-loop trace across the full depth {1, 2, 4}
-// × workers {0, 1, 4} matrix must commit bit-identical deployments and
-// identical logical statistics. Compared on the depth-invariant subset
-// (DepthInvariantTie) — the per-attempt counters differ by design.
-// Open-loop only: the worker-invariance properties above already cover
-// the closed loop at the default depth.
+// One re-planning round in flight at every worker count: a round
+// dispatched at the end of event N commits at the end of event N+1, so
+// no barrier ever unwinds a round, and only worker-solved rounds pay
+// for a planner copy. The committed outcomes match the inline replay.
 TEST_P(ServiceReplayPropertyTest, PipelineDepthWorkerMatrixInvariant) {
   const uint64_t seed = GetParam();
-  const ReplayResult baseline =
-      Replay(seed, 0, /*closed_loop=*/false, MeasureMode::kEngine,
-             /*pipeline_depth=*/1);
-  EXPECT_TRUE(baseline.valid) << "seed " << seed;
-  for (const int depth : {1, 2, 4}) {
-    for (const int workers : {0, 1, 4}) {
-      if (depth == 1 && workers == 0) continue;  // the baseline itself
-      const ReplayResult replay =
-          Replay(seed, workers, /*closed_loop=*/false, MeasureMode::kEngine,
-                 depth);
-      EXPECT_TRUE(baseline.DepthInvariantTie() == replay.DepthInvariantTie())
-          << "depth " << depth << " x workers " << workers
-          << " diverged from depth 1 x workers 0, seed " << seed
-          << "\nbaseline: " << baseline << "\nreplay:   " << replay;
+  ReplayResult baseline;
+  for (const int workers : {0, 1, 4}) {
+    Scenario s = MakeScenario(seed, /*closed_loop=*/false);
+    PlanningService service(
+        s.cluster.get(), s.catalog.get(),
+        MakeOptions(seed, workers, /*closed_loop=*/false,
+                    MeasureMode::kEngine, nullptr));
+    for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
+    ASSERT_TRUE(service.RunUntilIdle().ok());
+    const ReplayResult replay = Harvest(service);
+    if (workers == 0) {
+      baseline = replay;
+      EXPECT_TRUE(baseline.valid) << "seed " << seed;
+    } else {
+      EXPECT_EQ(baseline, replay)
+          << "workers " << workers << " diverged from workers 0, seed "
+          << seed;
     }
+    const ServiceStats& stats = service.stats();
+    EXPECT_EQ(stats.round_unwinds, 0) << "seed " << seed;
+    EXPECT_EQ(stats.snapshot_bytes_copied > 0,
+              workers > 0 && stats.replan_dispatches > 0)
+        << "workers " << workers << ", seed " << seed;
   }
 }
 
 // The decision audit journal rides the same contract (obs/audit.h):
 // canonical records are emitted at commit points only, so the canonical
 // rendering — header line plus every non-speculative record, "wall"
-// object stripped — must be BYTE-identical across the full worker
-// {0, 1, 4} x pipeline-depth {1, 2, 4} matrix. And auditing must never
+// object stripped — must be BYTE-identical across workers {0, 1, 4}.
+// And auditing must never
 // gate behaviour: the journal-attached replays commit the same
 // deployment fingerprint as an audit-off replay of the same trace.
 TEST_P(ServiceReplayPropertyTest, AuditJournalCanonicalBytesMatrixInvariant) {
   const uint64_t seed = GetParam();
-  const ReplayResult audit_off =
-      Replay(seed, 0, /*closed_loop=*/false, MeasureMode::kEngine,
-             /*pipeline_depth=*/1);
+  const ReplayResult audit_off = Replay(seed, 0);
   EXPECT_TRUE(audit_off.valid) << "seed " << seed;
 
   std::string canonical;
-  for (const int depth : {1, 2, 4}) {
-    for (const int workers : {0, 1, 4}) {
-      obs::AuditJournal journal;
-      const ReplayResult replay =
-          Replay(seed, workers, /*closed_loop=*/false, MeasureMode::kEngine,
-                 depth, &journal);
-      EXPECT_EQ(replay.fingerprint, audit_off.fingerprint)
-          << "auditing changed the committed deployment, depth " << depth
-          << " x workers " << workers << ", seed " << seed;
-      const std::string rendered = journal.ToJsonl(/*canonical=*/true);
-      if (canonical.empty()) {
-        canonical = rendered;
-        // Shape sanity on the reference rendering: schema header,
-        // terminator, and no leaked operational stratum.
-        EXPECT_EQ(canonical.find(
-                      "{\"schema\":\"sqpr-audit-v1\",\"canonical\":true}"),
-                  0u)
-            << "seed " << seed;
-        EXPECT_NE(canonical.find("\"journal.close\""), std::string::npos)
-            << "seed " << seed;
-        EXPECT_EQ(canonical.find("\"wall\""), std::string::npos)
-            << "canonical rendering leaked wall-clock fields, seed " << seed;
-        EXPECT_EQ(canonical.find("\"round.dispatch\""), std::string::npos)
-            << "canonical rendering leaked a speculative record, seed "
-            << seed;
-        EXPECT_GT(journal.canonical_size(), 0u) << "seed " << seed;
-      } else {
-        EXPECT_EQ(rendered, canonical)
-            << "canonical audit bytes diverged at depth " << depth
-            << " x workers " << workers << ", seed " << seed;
-      }
+  for (const int workers : {0, 1, 4}) {
+    obs::AuditJournal journal;
+    const ReplayResult replay = Replay(seed, workers, /*closed_loop=*/false,
+                                       MeasureMode::kEngine, &journal);
+    EXPECT_EQ(replay.fingerprint, audit_off.fingerprint)
+        << "auditing changed the committed deployment, workers " << workers
+        << ", seed " << seed;
+    const std::string rendered = journal.ToJsonl(/*canonical=*/true);
+    if (canonical.empty()) {
+      canonical = rendered;
+      // Shape sanity on the reference rendering: schema header,
+      // terminator, and no leaked operational stratum.
+      EXPECT_EQ(canonical.find(
+                    "{\"schema\":\"sqpr-audit-v1\",\"canonical\":true}"),
+                0u)
+          << "seed " << seed;
+      EXPECT_NE(canonical.find("\"journal.close\""), std::string::npos)
+          << "seed " << seed;
+      EXPECT_EQ(canonical.find("\"wall\""), std::string::npos)
+          << "canonical rendering leaked wall-clock fields, seed " << seed;
+      EXPECT_EQ(canonical.find("\"round.dispatch\""), std::string::npos)
+          << "canonical rendering leaked a speculative record, seed " << seed;
+      EXPECT_GT(journal.canonical_size(), 0u) << "seed " << seed;
+    } else {
+      EXPECT_EQ(rendered, canonical)
+          << "canonical audit bytes diverged at workers " << workers
+          << ", seed " << seed;
     }
   }
 }
@@ -392,135 +382,91 @@ TEST_P(ServiceReplayPropertyTest, AuditJournalCanonicalBytesMatrixInvariant) {
 // "Durability & degraded modes"): kill the service after event k,
 // restore the checkpoint into a fresh process, finish the trace — and
 // land exactly where an uninterrupted run lands. Three properties in
-// one sweep over workers {0, 1, 4} x pipeline-depth {1, 2}:
+// one sweep over workers {0, 1, 4}:
 //
-//   1. The checkpoint taken at event k is BYTE-identical across the
-//      whole matrix (ExportCheckpoint is a pipeline barrier, so every
-//      configuration serializes the same post-barrier state).
+//   1. The checkpoint taken at event k is BYTE-identical across worker
+//      counts (ExportCheckpoint is a barrier, so every worker count
+//      serializes the same post-barrier state).
 //   2. A fresh scenario (rebuilt from the same seed, as a restarted
 //      process would) restored from that checkpoint and fed the
 //      not-yet-consumed suffix commits the uninterrupted run's
-//      deployment — same fingerprint, same logical statistics.
-//   3. The restored run's final checkpoint is byte-identical to an
-//      uninterrupted run's AT THE SAME configuration, and final
-//      checkpoints are worker-invariant at fixed depth. (They are NOT
-//      depth-invariant: a deeper pipeline may dispatch-and-unwind
-//      speculative rounds the shallow one never starts, which consumes
-//      round ids, plan-cache misses and catalog interning slots for
-//      speculative closures — operational state the checkpoint must
-//      carry for exact resume, deliberately outside the committed-state
-//      contract that DepthInvariantTie pins.)
+//      deployment — same fingerprint, same committed statistics.
+//   3. The restored run's final checkpoint is byte-identical to the
+//      uninterrupted run's, and both are worker-invariant.
 //
-// The uninterrupted baseline ALSO checkpoints at event k: exporting is
-// a barrier that finishes in-flight rounds and re-canonicalizes the
+// The uninterrupted runs ALSO checkpoint at event k: exporting is a
+// barrier that commits the in-flight round and re-canonicalizes the
 // ledgers (bumping the deployment version), so it is part of the
 // replayed history — crashing and non-crashing runs must share it.
 TEST_P(ServiceReplayPropertyTest, CheckpointRestoreCrashInvariant) {
   const uint64_t seed = GetParam();
   constexpr int kCrashAfter = 12;
 
-  std::string checkpoint;      // taken at event k, matrix-invariant
-  std::string baseline_final;  // final checkpoint, uninterrupted run
+  std::string checkpoint;      // taken at event k by the workers-0 run
+  std::string baseline_final;  // final checkpoint of that run
   ReplayResult baseline;
-  {
-    Scenario s = MakeScenario(seed, /*closed_loop=*/false);
-    ASSERT_GT(s.trace.size(), static_cast<size_t>(kCrashAfter));
-    PlanningService service(s.cluster.get(), s.catalog.get(),
-                            MakeOptions(seed, /*workers=*/0,
-                                        /*closed_loop=*/false,
-                                        MeasureMode::kEngine,
-                                        /*pipeline_depth=*/1, nullptr));
-    for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
-    for (int i = 0; i < kCrashAfter; ++i) {
-      ASSERT_TRUE(service.HasPendingEvents());
-      const Result<EventOutcome> outcome = service.Step();
-      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    }
-    Result<std::string> ck = service.ExportCheckpoint();
-    ASSERT_TRUE(ck.ok()) << ck.status().ToString();
-    checkpoint = std::move(*ck);
-    ASSERT_TRUE(service.RunUntilIdle().ok());
-    baseline = Harvest(service);
-    ASSERT_TRUE(baseline.valid) << "seed " << seed;
-    Result<std::string> fin = service.ExportCheckpoint();
-    ASSERT_TRUE(fin.ok()) << fin.status().ToString();
-    baseline_final = std::move(*fin);
-  }
-
-  for (const int depth : {1, 2}) {
-    // Final checkpoint of the workers=0 uninterrupted run at this
-    // depth: the reference the other worker counts must hit byte-ly.
-    std::string depth_final;
-    for (const int workers : {0, 1, 4}) {
-      // The "crashing" run: same prefix, different configuration —
-      // then run through so its final export doubles as this cell's
-      // uninterrupted reference.
-      std::string uninterrupted_final;
-      {
-        Scenario s = MakeScenario(seed, /*closed_loop=*/false);
-        PlanningService service(
-            s.cluster.get(), s.catalog.get(),
-            MakeOptions(seed, workers, /*closed_loop=*/false,
-                        MeasureMode::kEngine, depth, nullptr));
-        for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
-        for (int i = 0; i < kCrashAfter; ++i) {
-          const Result<EventOutcome> outcome = service.Step();
-          ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-        }
-        const Result<std::string> ck = service.ExportCheckpoint();
-        ASSERT_TRUE(ck.ok()) << ck.status().ToString();
-        EXPECT_EQ(*ck, checkpoint)
-            << "checkpoint at event " << kCrashAfter << " diverged at depth "
-            << depth << " x workers " << workers << ", seed " << seed;
-        ASSERT_TRUE(service.RunUntilIdle().ok());
-        const ReplayResult uninterrupted = Harvest(service);
-        EXPECT_TRUE(baseline.DepthInvariantTie() ==
-                    uninterrupted.DepthInvariantTie())
-            << "uninterrupted run diverged at depth " << depth
-            << " x workers " << workers << ", seed " << seed;
-        Result<std::string> fin = service.ExportCheckpoint();
-        ASSERT_TRUE(fin.ok()) << fin.status().ToString();
-        uninterrupted_final = std::move(*fin);
-        if (workers == 0) {
-          depth_final = uninterrupted_final;
-          if (depth == 1) {
-            EXPECT_EQ(uninterrupted_final, baseline_final)
-                << "depth-1 workers-0 rerun is the baseline, seed " << seed;
-          }
-        } else {
-          EXPECT_EQ(uninterrupted_final, depth_final)
-              << "final checkpoint not worker-invariant at depth " << depth
-              << " x workers " << workers << ", seed " << seed;
-        }
-      }
-
-      // The "restarted process": fresh scenario from the same seed,
-      // restore, replay only the suffix.
+  for (const int workers : {0, 1, 4}) {
+    {
+      // The uninterrupted run: checkpoint at event k, then run through.
       Scenario s = MakeScenario(seed, /*closed_loop=*/false);
-      PlanningService restored(
+      ASSERT_GT(s.trace.size(), static_cast<size_t>(kCrashAfter));
+      PlanningService service(
           s.cluster.get(), s.catalog.get(),
           MakeOptions(seed, workers, /*closed_loop=*/false,
-                      MeasureMode::kEngine, depth, nullptr));
-      const Status ok = restored.RestoreCheckpoint(checkpoint);
-      ASSERT_TRUE(ok.ok())
-          << ok.ToString() << " at depth " << depth << " x workers "
-          << workers << ", seed " << seed;
-      ASSERT_EQ(restored.stats().events, kCrashAfter);
-      for (size_t i = kCrashAfter; i < s.trace.size(); ++i) {
-        ASSERT_TRUE(restored.Enqueue(s.trace[i]).ok());
+                      MeasureMode::kEngine, nullptr));
+      for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
+      for (int i = 0; i < kCrashAfter; ++i) {
+        const Result<EventOutcome> outcome = service.Step();
+        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
       }
-      ASSERT_TRUE(restored.RunUntilIdle().ok());
-      const ReplayResult result = Harvest(restored);
-      EXPECT_TRUE(baseline.DepthInvariantTie() == result.DepthInvariantTie())
-          << "restored run diverged at depth " << depth << " x workers "
-          << workers << ", seed " << seed << "\nbaseline: " << baseline
-          << "\nrestored: " << result;
-      const Result<std::string> fin = restored.ExportCheckpoint();
+      const Result<std::string> ck = service.ExportCheckpoint();
+      ASSERT_TRUE(ck.ok()) << ck.status().ToString();
+      ASSERT_TRUE(service.RunUntilIdle().ok());
+      const ReplayResult uninterrupted = Harvest(service);
+      const Result<std::string> fin = service.ExportCheckpoint();
       ASSERT_TRUE(fin.ok()) << fin.status().ToString();
-      EXPECT_EQ(*fin, uninterrupted_final)
-          << "final checkpoint diverged after restore at depth " << depth
-          << " x workers " << workers << ", seed " << seed;
+      if (workers == 0) {
+        checkpoint = *ck;
+        baseline = uninterrupted;
+        baseline_final = *fin;
+        ASSERT_TRUE(baseline.valid) << "seed " << seed;
+      } else {
+        EXPECT_EQ(*ck, checkpoint)
+            << "checkpoint at event " << kCrashAfter
+            << " diverged at workers " << workers << ", seed " << seed;
+        EXPECT_TRUE(baseline.CommittedTie() == uninterrupted.CommittedTie())
+            << "uninterrupted run diverged at workers " << workers
+            << ", seed " << seed;
+        EXPECT_EQ(*fin, baseline_final)
+            << "final checkpoint not worker-invariant at workers " << workers
+            << ", seed " << seed;
+      }
     }
+
+    // The "restarted process": fresh scenario from the same seed,
+    // restore, replay only the suffix.
+    Scenario s = MakeScenario(seed, /*closed_loop=*/false);
+    PlanningService restored(
+        s.cluster.get(), s.catalog.get(),
+        MakeOptions(seed, workers, /*closed_loop=*/false,
+                    MeasureMode::kEngine, nullptr));
+    const Status ok = restored.RestoreCheckpoint(checkpoint);
+    ASSERT_TRUE(ok.ok()) << ok.ToString() << " at workers " << workers
+                         << ", seed " << seed;
+    ASSERT_EQ(restored.stats().events, kCrashAfter);
+    for (size_t i = kCrashAfter; i < s.trace.size(); ++i) {
+      ASSERT_TRUE(restored.Enqueue(s.trace[i]).ok());
+    }
+    ASSERT_TRUE(restored.RunUntilIdle().ok());
+    const ReplayResult result = Harvest(restored);
+    EXPECT_TRUE(baseline.CommittedTie() == result.CommittedTie())
+        << "restored run diverged at workers " << workers << ", seed "
+        << seed << "\nbaseline: " << baseline << "\nrestored: " << result;
+    const Result<std::string> fin = restored.ExportCheckpoint();
+    ASSERT_TRUE(fin.ok()) << fin.status().ToString();
+    EXPECT_EQ(*fin, baseline_final)
+        << "final checkpoint diverged after restore at workers " << workers
+        << ", seed " << seed;
   }
 }
 
@@ -529,8 +475,8 @@ TEST_P(ServiceReplayPropertyTest, CheckpointRestoreCrashInvariant) {
 // trajectories (walk phases are re-derived lazily from virtual time),
 // the raw measurement-noise RNG state (data-dependent draw count, so it
 // is serialized verbatim), EWMA smoothing state and the last measured
-// rates. A reduced matrix keeps the cost proportionate — the open-loop
-// sweep above already covers the full one.
+// rates. Workers {0, 4} keep the cost proportionate — the open-loop
+// sweep above already covers workers 1.
 TEST_P(ServiceReplayPropertyTest, ClosedLoopCheckpointRestoreInvariant) {
   const uint64_t seed = GetParam();
   constexpr int kCrashAfter = 12;
@@ -544,8 +490,7 @@ TEST_P(ServiceReplayPropertyTest, ClosedLoopCheckpointRestoreInvariant) {
     PlanningService service(s.cluster.get(), s.catalog.get(),
                             MakeOptions(seed, /*workers=*/0,
                                         /*closed_loop=*/true,
-                                        MeasureMode::kEngine,
-                                        /*pipeline_depth=*/2, nullptr));
+                                        MeasureMode::kEngine, nullptr));
     for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
     for (int i = 0; i < kCrashAfter; ++i) {
       const Result<EventOutcome> outcome = service.Step();
@@ -567,7 +512,7 @@ TEST_P(ServiceReplayPropertyTest, ClosedLoopCheckpointRestoreInvariant) {
     PlanningService restored(
         s.cluster.get(), s.catalog.get(),
         MakeOptions(seed, workers, /*closed_loop=*/true, MeasureMode::kEngine,
-                    /*pipeline_depth=*/2, nullptr));
+                    nullptr));
     const Status ok = restored.RestoreCheckpoint(checkpoint);
     ASSERT_TRUE(ok.ok()) << ok.ToString() << " at workers " << workers
                          << ", seed " << seed;
@@ -576,7 +521,7 @@ TEST_P(ServiceReplayPropertyTest, ClosedLoopCheckpointRestoreInvariant) {
     }
     ASSERT_TRUE(restored.RunUntilIdle().ok());
     const ReplayResult result = Harvest(restored);
-    EXPECT_TRUE(baseline.DepthInvariantTie() == result.DepthInvariantTie())
+    EXPECT_TRUE(baseline.CommittedTie() == result.CommittedTie())
         << "closed loop: restored run diverged at workers " << workers
         << ", seed " << seed << "\nbaseline: " << baseline
         << "\nrestored: " << result;
@@ -590,6 +535,75 @@ TEST_P(ServiceReplayPropertyTest, ClosedLoopCheckpointRestoreInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Traces, ServiceReplayPropertyTest,
                          ::testing::Range(uint64_t{1}, uint64_t{21}));
+
+// Golden digests of checkpointed replays: FNV-1a over the final
+// deployment fingerprint, the canonical audit journal and the final
+// checkpoint bytes of a 120-event replay that also exports a checkpoint
+// every five events. Seeds 1-5, open and closed loop. The constants were
+// recorded with exactly one re-planning round in flight (dispatched at
+// the end of event N, committed at the end of event N+1) at workers 0.
+// Unlike the worker-invariance properties, which compare configurations
+// with each other, this pins the schedule itself: a change that moves a
+// commit point, an audit record or a checkpoint byte fails here even if
+// every worker count agrees. The closed loop with a checkpoint cadence
+// is where a deeper speculative pipeline once committed different
+// deployments while every open-loop depth gate stayed green (closed-loop
+// seed 3 diverges in its canonical audit at depth 2).
+uint64_t CheckpointedReplayDigest(uint64_t seed, bool closed_loop) {
+  constexpr int kEvents = 120;
+  constexpr int kCheckpointEvery = 5;
+  Scenario s = MakeScenario(seed, closed_loop, kEvents);
+  obs::AuditJournal journal;
+  ServiceOptions options = MakeOptions(seed, /*workers=*/0, closed_loop,
+                                       MeasureMode::kEngine, &journal);
+  PlanningService service(s.cluster.get(), s.catalog.get(), options);
+  for (const Event& e : s.trace) EXPECT_TRUE(service.Enqueue(e).ok());
+  int consumed = 0;
+  while (service.HasPendingEvents()) {
+    const Result<EventOutcome> outcome = service.Step();
+    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+    if (++consumed % kCheckpointEvery == 0) {
+      EXPECT_TRUE(service.ExportCheckpoint().ok());
+    }
+  }
+  service.FinishInFlightRound();
+  const std::string fingerprint = service.deployment().Fingerprint();
+  service.FinalizeAudit();
+  const Result<std::string> final_checkpoint = service.ExportCheckpoint();
+  EXPECT_TRUE(final_checkpoint.ok()) << final_checkpoint.status().ToString();
+  std::string blob = fingerprint;
+  blob += '\n';
+  blob += journal.ToJsonl(/*canonical=*/true);
+  blob += '\n';
+  if (final_checkpoint.ok()) blob += *final_checkpoint;
+  return obs::AuditJournal::Fnv1a(blob);
+}
+
+TEST(ServiceReplayGoldenTest, CheckpointedReplayDigestsArePinned) {
+  struct Golden {
+    uint64_t seed;
+    bool closed_loop;
+    uint64_t digest;
+  };
+  constexpr Golden kGolden[] = {
+      {1, false, 0xbd8a34340fca790d},
+      {2, false, 0xf6836e72d24c25a},
+      {3, false, 0x9012d655c1320fcc},
+      {4, false, 0x7debda4c864089bd},
+      {5, false, 0x60f14b7bd7c83138},
+      {1, true, 0x2016bdb5c624ed68},
+      {2, true, 0x53102fbfcdf2539d},
+      {3, true, 0xfcffe576e2799130},
+      {4, true, 0x7f24b0835d979051},
+      {5, true, 0x74377fdcc6a02ba4},
+  };
+  for (const Golden& g : kGolden) {
+    const uint64_t digest = CheckpointedReplayDigest(g.seed, g.closed_loop);
+    EXPECT_EQ(digest, g.digest)
+        << "seed " << g.seed << (g.closed_loop ? " closed" : " open")
+        << " loop: digest " << std::hex << std::showbase << digest;
+  }
+}
 
 }  // namespace
 }  // namespace sqpr

@@ -77,11 +77,10 @@ TEST(ReplanSchedulerTest, DeduplicatesAndBoundsRounds) {
 }
 
 // Round composition is pinned at enqueue time: a discard shrinks its
-// round without pulling queries forward from later rounds, and an
-// unwound round requeued at the front pops again as the same group.
-// Both properties keep round boundaries — and so commit points —
-// identical across pipeline depths.
-TEST(ReplanSchedulerTest, DiscardAndRequeuePreserveRoundBoundaries) {
+// round without pulling queries forward from later rounds, so round
+// boundaries — and the state each re-admission solves against — do not
+// depend on when departures land.
+TEST(ReplanSchedulerTest, DiscardPreservesRoundBoundaries) {
   ReplanPolicyOptions options;
   options.max_queries_per_round = 2;
   ReplanScheduler scheduler(options);
@@ -93,25 +92,11 @@ TEST(ReplanSchedulerTest, DiscardAndRequeuePreserveRoundBoundaries) {
   ASSERT_EQ(first.size(), 1u) << "discard must not re-pack 3 forward";
   EXPECT_EQ(first[0], 1);
 
-  // Unwind simulation: the round goes back to the front and is popped
-  // again verbatim, ahead of the groups behind it.
-  scheduler.Requeue(first);
-  const std::vector<StreamId> again = scheduler.NextRound();
-  ASSERT_EQ(again.size(), 1u);
-  EXPECT_EQ(again[0], 1);
-
   const std::vector<StreamId> second = scheduler.NextRound();
   ASSERT_EQ(second.size(), 2u);
   EXPECT_EQ(second[0], 3);
   EXPECT_EQ(second[1], 4);
-  // A requeue races a fresh enqueue of the same query: the pending copy
-  // wins, no duplicates.
-  EXPECT_TRUE(scheduler.Enqueue(3));
-  scheduler.Requeue(second);
-  const std::vector<StreamId> third = scheduler.NextRound();
-  ASSERT_EQ(third.size(), 1u);
-  EXPECT_EQ(third[0], 4);
-  EXPECT_EQ(scheduler.pending(), 2u);  // 5 and the re-enqueued 3
+  EXPECT_EQ(scheduler.pending(), 1u);  // 5
 }
 
 // ---- Plan cache. ----
@@ -634,7 +619,7 @@ TEST(PlanningServiceTest, WorkerCountDoesNotChangeCommittedDeployments) {
 // are exact and therefore testable: a vanishing budget makes every
 // stage sample (and every Step) a breach, so each breach counter equals
 // its histogram's sample count and loop_stalls equals the event count —
-// all worker-invariant at a fixed depth, because the sample counts
+// all worker-invariant, because the sample counts
 // themselves are. A huge budget yields zero breaches. And the watchdog
 // never gates behaviour: every run commits the budget-free fingerprint.
 TEST(PlanningServiceTest, WatchdogBreachCountsAreExactAtExtremeBudgets) {
@@ -733,7 +718,7 @@ TEST(PlanningServiceTest, WatchdogBreachCountsAreExactAtExtremeBudgets) {
   EXPECT_EQ(tiny.barrier_b, static_cast<int64_t>(tiny.barrier_n));
   EXPECT_EQ(tiny.measure_b, static_cast<int64_t>(tiny.measure_n));
 
-  // Worker-invariant at a fixed depth: multi-worker wall times differ,
+  // Worker-invariant: multi-worker wall times differ,
   // but with every sample breaching, the counts are the contract's.
   const WatchdogRun tiny_w4 = run(/*budget_ms=*/1e-9, /*workers=*/4);
   EXPECT_EQ(tiny_w4.fingerprint, off.fingerprint);
@@ -757,8 +742,8 @@ TEST(PlanningServiceTest, WatchdogBreachCountsAreExactAtExtremeBudgets) {
             0);
 }
 
-// Tentpole: the arrival-path commit-conflict fallback, driven
-// deterministically at pipeline depth 1. The injection hook commits an
+// The arrival-path commit-conflict fallback, driven deterministically.
+// The injection hook commits an
 // intervening admission between the arrival's propose and commit, so
 // the strict structure-version gate must bounce the proposal and the
 // service must re-solve inline — with the conflict counted, both
@@ -768,7 +753,7 @@ TEST(PlanningServiceTest, WatchdogBreachCountsAreExactAtExtremeBudgets) {
 TEST(PlanningServiceTest, AdmitConflictFallbackResolvesAndRepairsCache) {
   // One-shot hook: fires between the arrival's ProposeAdmission and
   // CommitProposal, admitting another query directly on the planner —
-  // the structural bump an older pipelined round's commit would cause.
+  // a structural bump between the arrival's propose and commit.
   // (Captured locals are bound before the fixture exists; the target
   // query is filled in right after.)
   StreamId intervening = kInvalidStream;
@@ -776,7 +761,6 @@ TEST(PlanningServiceTest, AdmitConflictFallbackResolvesAndRepairsCache) {
   ServiceOptions options;
   options.planner.timeout_ms = 60000;
   options.planner.max_nodes = 150;
-  options.replan.pipeline_depth = 1;
   options.inject_between_propose_and_commit = [&](SqprPlanner& planner) {
     if (fired) return;
     fired = true;
@@ -820,62 +804,6 @@ TEST(PlanningServiceTest, AdmitConflictFallbackResolvesAndRepairsCache) {
   EXPECT_NE(fx.service->deployment().ServingHost(arrival), kInvalidHost);
   EXPECT_NE(fx.service->deployment().ServingHost(intervening), kInvalidHost);
   EXPECT_TRUE(fx.service->deployment().Validate().ok());
-}
-
-// Tentpole: a barrier hitting a pipeline with several rounds in flight
-// commits only the oldest (its pinned point) and unwinds the younger
-// speculative rounds — so the committed deployments, admission
-// statistics and remaining backlog are bit-identical to a depth-1
-// service, which never dispatched those rounds in the first place.
-TEST(PlanningServiceTest, BarrierUnwindKeepsDepthsBitIdentical) {
-  auto run = [](int depth, int64_t* unwinds) {
-    ServiceOptions options;
-    options.planner.timeout_ms = 60000;
-    options.planner.max_nodes = 150;
-    options.replan.pipeline_depth = depth;
-    // One query per round: the host-failure fallout splits into several
-    // rounds, so deeper pipelines genuinely overlap them.
-    options.replan.max_queries_per_round = 1;
-    ServiceFixture fx(2, 2.0, 6, options);
-
-    int64_t t = 1;
-    int admitted = 0;
-    for (auto leaves : {std::pair<int, int>{0, 1}, {2, 3}, {4, 5}}) {
-      admitted +=
-          fx.StepOne(Event::Arrival(t++, fx.Join({leaves.first, leaves.second})))
-              .admitted;
-    }
-    EXPECT_EQ(admitted, 3);
-
-    // Every plan touches host 1 (half the bases live there): the
-    // failure evicts all three queries into three one-query rounds.
-    EventOutcome failure = fx.StepOne(Event::HostFailure(t++, 1));
-    EXPECT_GE(failure.evicted, 2);
-    // The join is a barrier: at depth >= 2 it catches speculative
-    // rounds mid-flight and must unwind them.
-    fx.StepOne(Event::HostJoin(t++, 1));
-    for (int i = 0; i < 8; ++i) fx.StepOne(Event::Tick(t++));
-    fx.service->FinishInFlightRound();
-
-    EXPECT_TRUE(fx.service->deployment().Validate().ok());
-    EXPECT_EQ(fx.service->pending_replans(), 0);
-    const ServiceStats& stats = fx.service->stats();
-    *unwinds = stats.round_unwinds;
-    return std::make_tuple(fx.service->deployment().Fingerprint(),
-                           stats.admitted, stats.rejected, stats.evictions,
-                           stats.replanned_admitted,
-                           stats.replanned_rejected, stats.replan_rounds);
-  };
-
-  int64_t unwinds1 = 0, unwinds2 = 0, unwinds4 = 0;
-  const auto depth1 = run(1, &unwinds1);
-  const auto depth2 = run(2, &unwinds2);
-  const auto depth4 = run(4, &unwinds4);
-  EXPECT_EQ(depth1, depth2);
-  EXPECT_EQ(depth1, depth4);
-  EXPECT_EQ(unwinds1, 0) << "depth 1 never speculates past a commit point";
-  EXPECT_GE(unwinds2, 1) << "the join barrier must catch a round in flight";
-  EXPECT_GE(unwinds4, unwinds2);
 }
 
 TEST(PlanningServiceTest, IncrementalCacheEqualsRebuildOnRandomizedTraces) {
@@ -946,7 +874,7 @@ TEST(PlanningServiceTest, RepeatArrivalDedupDoesNotRescanCache) {
   EXPECT_EQ(fx.service->stats().cache_delta_updates, deltas_after_admit);
 }
 
-// ---- Copy-on-write planner snapshots. ----
+// ---- Dispatched planner copies. ----
 
 bool SameDelta(const DeploymentDelta& x, const DeploymentDelta& y) {
   auto serving_eq = [](const DeploymentDelta::ServingChange& a,
@@ -961,6 +889,11 @@ bool SameDelta(const DeploymentDelta& x, const DeploymentDelta& y) {
                     y.serving_changes.begin(), serving_eq);
 }
 
+// The snapshot a worker-solved round reads is a plain const copy of the
+// planner: it shares the live planner's model cache, carries its exact
+// committed state and is an immutable view — a stale copy keeps
+// proposing against the pre-state, and proposing never moves the live
+// planner.
 TEST(SqprPlannerTest, SnapshotSharesCoreAndMaterializesExactState) {
   Cluster cluster(2, HostSpec{2.0, 500.0, 500.0, ""}, 1000.0);
   Catalog catalog(CostModel{});
@@ -977,77 +910,34 @@ TEST(SqprPlannerTest, SnapshotSharesCoreAndMaterializesExactState) {
   for (StreamId q : {ab, cd, ef}) ASSERT_TRUE(planner.WarmCatalog(q).ok());
   ASSERT_TRUE(planner.SubmitQuery(ab)->admitted);
 
-  // First snapshot: must rebase (no core yet) and pay the full copy.
-  SqprPlanner::SnapshotStats first_stats;
-  auto first = planner.MakeSnapshot(&first_stats);
-  EXPECT_TRUE(first_stats.rebased);
-  EXPECT_EQ(first_stats.overlay_entries, 0u);
+  // A dispatched round solves against a const copy of the planner.
+  const auto first = std::make_shared<const SqprPlanner>(planner);
 
-  // Mutate past the snapshot: admit cd.
+  // Mutate past the copy: admit cd.
   ASSERT_TRUE(planner.SubmitQuery(cd)->admitted);
+  const auto second = std::make_shared<const SqprPlanner>(planner);
 
-  // Second snapshot: shares the core, ships only the overlay — the
-  // O(changes) bytes the tentpole is about.
-  SqprPlanner::SnapshotStats second_stats;
-  auto second = planner.MakeSnapshot(&second_stats);
-  EXPECT_FALSE(second_stats.rebased);
-  EXPECT_GT(second_stats.overlay_entries, 0u);
-  EXPECT_LT(second_stats.bytes_copied,
-            planner.deployment().ApproxSizeBytes());
-
-  // The first snapshot still sees the pre-cd state: proposing cd from
-  // it admits with a non-empty delta (nothing served it there)...
+  // The stale copy still sees the pre-cd state: proposing cd from it
+  // admits with a non-empty delta (nothing served it there)...
   Result<AdmissionProposal> stale = first->ProposeAdmission(cd);
   ASSERT_TRUE(stale.ok());
   EXPECT_TRUE(stale->stats.admitted);
   EXPECT_FALSE(stale->stats.already_served);
   EXPECT_FALSE(stale->delta.empty());
 
-  // ...while the second snapshot's materialised state matches the live
-  // planner exactly: identical proposals for a fresh query.
-  Result<AdmissionProposal> from_snapshot = second->ProposeAdmission(ef);
+  // ...while the fresh copy matches the live planner exactly: identical
+  // proposals for a fresh query.
+  Result<AdmissionProposal> from_copy = second->ProposeAdmission(ef);
   Result<AdmissionProposal> from_live = planner.ProposeAdmission(ef);
-  ASSERT_TRUE(from_snapshot.ok() && from_live.ok());
-  EXPECT_EQ(from_snapshot->stats.admitted, from_live->stats.admitted);
-  EXPECT_TRUE(SameDelta(from_snapshot->delta, from_live->delta));
+  ASSERT_TRUE(from_copy.ok() && from_live.ok());
+  EXPECT_EQ(from_copy->stats.admitted, from_live->stats.admitted);
+  EXPECT_TRUE(SameDelta(from_copy->delta, from_live->delta));
+  EXPECT_EQ(from_copy->base_version, from_live->base_version);
 
-  // Snapshots are immutable views: nothing above moved the live state.
+  // The copies are immutable views: nothing above moved the live state.
   Result<AdmissionProposal> commit_cd_again = planner.ProposeAdmission(cd);
   ASSERT_TRUE(commit_cd_again.ok());
   EXPECT_TRUE(commit_cd_again->stats.already_served);
-}
-
-TEST(SqprPlannerTest, SnapshotRebasesOnceOverlayExceedsThreshold) {
-  Cluster cluster(2, HostSpec{2.0, 500.0, 500.0, ""}, 1000.0);
-  Catalog catalog(CostModel{});
-  std::vector<StreamId> base;
-  for (int i = 0; i < 4; ++i) base.push_back(catalog.AddBaseStream(i % 2, 10.0));
-  SqprPlanner::Options options;
-  options.timeout_ms = 60000;
-  options.max_nodes = 150;
-  options.snapshot_rebase_threshold = 2;  // tiny: force frequent rebases
-  SqprPlanner planner(&cluster, &catalog, options);
-
-  const StreamId ab = *catalog.CanonicalJoinStream({base[0], base[1]});
-  const StreamId cd = *catalog.CanonicalJoinStream({base[2], base[3]});
-  for (StreamId q : {ab, cd}) ASSERT_TRUE(planner.WarmCatalog(q).ok());
-
-  SqprPlanner::SnapshotStats stats;
-  planner.MakeSnapshot(&stats);
-  EXPECT_TRUE(stats.rebased);
-  ASSERT_TRUE(planner.SubmitQuery(ab)->admitted);  // >> 2 journal entries
-  planner.MakeSnapshot(&stats);
-  EXPECT_TRUE(stats.rebased) << "overlay beyond threshold must rebase";
-  planner.MakeSnapshot(&stats);
-  EXPECT_FALSE(stats.rebased) << "unchanged planner must reuse the core";
-  EXPECT_EQ(stats.overlay_entries, 0u);
-
-  // A rebased snapshot still materialises the exact live state.
-  ASSERT_TRUE(planner.SubmitQuery(cd)->admitted);
-  auto snap = planner.MakeSnapshot(&stats);
-  Result<AdmissionProposal> p = snap->ProposeAdmission(cd);
-  ASSERT_TRUE(p.ok());
-  EXPECT_TRUE(p->stats.already_served);
 }
 
 TEST(PlanningServiceTest, ReplayIsDeterministic) {

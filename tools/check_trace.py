@@ -20,10 +20,12 @@ Checks (all fatal):
   * Re-planning-round attribution: a round runs from its
     service/round.dispatch start to the end of the span that retires it
     — service/round.commit at its pinned commit point, or
-    service/round.unwind when a barrier retires a speculative round
-    early. Pipelined rounds overlap (up to pipeline_depth in flight),
-    so spans are matched by their "round" id arg, falling back to
-    positional dispatch/commit pairing for traces predating the arg.
+    service/round.unwind when a barrier retired a speculative round
+    early (traces recorded while the service still kept several rounds
+    in flight, like the committed TRACE_drift_w4.json.gz, overlap
+    rounds and contain unwinds). Spans are matched by their "round" id
+    arg, falling back to positional dispatch/commit pairing for traces
+    predating the arg.
     The union of all named spans across all threads, clipped to the
     round's window, must cover >= --min-round-coverage of it: "explain
     every millisecond" is gated here, not eyeballed in Perfetto.
@@ -161,7 +163,7 @@ def main():
             fail(f"span {name}: tid {tid} has no thread_name metadata")
 
     # --- re-planning-round attribution ---------------------------------
-    # Up to pipeline_depth rounds overlap, so dispatches are matched to
+    # Rounds may overlap in older traces, so dispatches are matched to
     # the span that retires the round — commit (the pinned commit point)
     # or unwind (a barrier retired it early) — by the "round" id arg.
     def spans_named(span_name):

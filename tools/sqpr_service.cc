@@ -13,10 +13,14 @@
 //   sqpr_service --events 500 --save-trace /tmp/churn.trace --verbose
 //   sqpr_service --trace /tmp/churn.trace --workers 4
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/fault.h"
@@ -49,7 +53,6 @@ struct Args {
   int64_t max_nodes = 0;  // 0 = keep the planner default
   int replan_round = 8;
   int workers = 0;
-  int pipeline_depth = 2;
   bool closed_loop = false;
   sqpr::MeasureMode measure_mode = sqpr::MeasureMode::kEngine;
   int measure_period = 4;
@@ -58,7 +61,7 @@ struct Args {
   std::string trace_path;       // load instead of generating
   std::string save_trace_path;  // write the generated trace
   std::string trace_out_path;   // flight-recorder Chrome trace JSON
-  size_t trace_capacity = 1 << 15;
+  uint64_t trace_capacity = 1 << 15;
   std::string metrics_out_path; // metrics exposition file
   int64_t metrics_interval_ms = 0;  // 0 = one snapshot at exit
   std::string metrics_format = "json";  // json | openmetrics
@@ -137,10 +140,11 @@ void Usage(std::FILE* out) {
       "\n"
       "Service flags:\n"
       "  --timeout-ms N   per-query MILP solver deadline (default 150)\n"
-      "  --max-nodes N    branch-and-bound node budget per solve; combine\n"
+      "  --max-nodes N    branch-and-bound node budget per solve, N >= 1\n"
+      "                   (default: the planner's own cap); combine\n"
       "                   with a large --timeout-ms for bit-for-bit\n"
       "                   reproducible replays independent of machine\n"
-      "                   load and worker count (0 = planner default)\n"
+      "                   load and worker count\n"
       "  --replan-round N max queries re-planned per bounded round\n"
       "                   (default 8)\n"
       "  --workers N      worker threads solving re-planning rounds off\n"
@@ -152,18 +156,6 @@ void Usage(std::FILE* out) {
       "                   identical deployments for any N >= 0 when the\n"
       "                   solver is node-bounded (see\n"
       "                   docs/ARCHITECTURE.md)\n"
-      "  --pipeline-depth N\n"
-      "                   re-planning rounds in flight at once (default\n"
-      "                   2, min 1). Each round pins its own planner\n"
-      "                   snapshot at dispatch and commits at a fixed\n"
-      "                   logical point — one round per consumed event,\n"
-      "                   FIFO — so depth changes only how early solves\n"
-      "                   start: committed deployments are bit-identical\n"
-      "                   across depths (and worker counts). Proposals\n"
-      "                   gone stale under an older round's commit are\n"
-      "                   re-solved inline at their pinned commit point\n"
-      "                   (the commit-conflicts counter). 1 restores the\n"
-      "                   single-round dispatch-then-commit behaviour\n"
       "\n"
       "Closed-loop flags (SIV-C self-measurement):\n"
       "  --closed-loop    the service measures its own committed\n"
@@ -189,6 +181,10 @@ void Usage(std::FILE* out) {
       "                   ticks between self-measurements (default 4)\n"
       "  --rate-seed N    seed for ground-truth trajectories and\n"
       "                   measurement noise (default: --seed)\n"
+      "\n"
+      "Numeric flag values must be whole, in-range numbers: a malformed\n"
+      "or out-of-range value (\"abc\", \"20x\", --workers -1) exits with\n"
+      "status 2 naming the flag.\n"
       "\n"
       "Observability flags (docs/ARCHITECTURE.md \u00a77):\n"
       "  --trace-out FILE enable the flight recorder for the replay and\n"
@@ -233,7 +229,7 @@ void Usage(std::FILE* out) {
       "                   write only the canonical stratum — speculative\n"
       "                   records and wall-clock fields dropped. This\n"
       "                   rendering is byte-identical across --workers\n"
-      "                   and --pipeline-depth for the same trace+seed\n"
+      "                   for the same trace+seed\n"
       "  --stall-ms F     watchdog: count Step() calls whose wall time\n"
       "                   exceeds F ms as event-loop stalls (the virtual\n"
       "                   clock stood still while the wall clock ran)\n"
@@ -256,8 +252,8 @@ void Usage(std::FILE* out) {
       "  --checkpoint-every N\n"
       "                   also checkpoint after every N consumed events\n"
       "                   (requires --checkpoint-out). Each checkpoint is\n"
-      "                   a pipeline barrier — in-flight speculative\n"
-      "                   rounds finish first — so a restored run and an\n"
+      "                   a barrier — the in-flight speculative round\n"
+      "                   commits first — so a restored run and an\n"
       "                   uninterrupted run with the same cadence commit\n"
       "                   bit-identical deployments\n"
       "  --restore FILE   resume from a checkpoint instead of starting\n"
@@ -297,14 +293,51 @@ void Usage(std::FILE* out) {
       "  --help           show this message and exit\n");
 }
 
+/// Parses the whole of `text` as a number in [lo, hi]. Unlike atoi and
+/// friends it rejects empty strings, trailing junk ("20x"), overflow and
+/// out-of-range values instead of silently reading a prefix or 0.
+template <typename T>
+bool ParseNumber(const char* text, T* out,
+                 std::common_type_t<T> lo = std::numeric_limits<T>::lowest(),
+                 std::common_type_t<T> hi = std::numeric_limits<T>::max()) {
+  if (text == nullptr || *text == '\0' ||
+      std::isspace(static_cast<unsigned char>(*text))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  T value{};
+  if constexpr (std::is_floating_point_v<T>) {
+    value = std::strtod(text, &end);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    if (*text == '-') return false;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (v > std::numeric_limits<T>::max()) return false;
+    value = static_cast<T>(v);
+  } else {
+    const long long v = std::strtoll(text, &end, 10);
+    if (v < std::numeric_limits<T>::min() ||
+        v > std::numeric_limits<T>::max()) {
+      return false;
+    }
+    value = static_cast<T>(v);
+  }
+  if (errno != 0 || *end != '\0') return false;
+  if (!(value >= lo && value <= hi)) return false;  // also rejects NaN
+  *out = value;
+  return true;
+}
+
 bool ParseArities(const std::string& text, std::vector<int>* out) {
   out->clear();
   size_t pos = 0;
   while (pos < text.size()) {
     size_t next = text.find(',', pos);
     if (next == std::string::npos) next = text.size();
-    const int k = std::atoi(text.substr(pos, next - pos).c_str());
-    if (k < 2 || k > 12) return false;
+    int k = 0;
+    if (!ParseNumber(text.substr(pos, next - pos).c_str(), &k, 2, 12)) {
+      return false;
+    }
     out->push_back(k);
     pos = next + 1;
   }
@@ -323,45 +356,40 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    bool ok = true;
     if (flag == "--help" || flag == "-h") {
       Usage(stdout);
       return 0;
     } else if (flag == "--hosts" && (v = next())) {
-      args.hosts = std::atoi(v);
+      ok = ParseNumber(v, &args.hosts, 2);
     } else if (flag == "--cpu" && (v = next())) {
-      args.cpu = std::atof(v);
+      ok = ParseNumber(v, &args.cpu, 0.0);
     } else if (flag == "--nic" && (v = next())) {
-      args.nic_mbps = std::atof(v);
+      ok = ParseNumber(v, &args.nic_mbps, 0.0);
     } else if (flag == "--link" && (v = next())) {
-      args.link_mbps = std::atof(v);
+      ok = ParseNumber(v, &args.link_mbps, 0.0);
     } else if (flag == "--streams" && (v = next())) {
-      args.streams = std::atoi(v);
+      ok = ParseNumber(v, &args.streams, 1);
     } else if (flag == "--rate" && (v = next())) {
-      args.rate_mbps = std::atof(v);
+      ok = ParseNumber(v, &args.rate_mbps, 0.0);
     } else if (flag == "--queries" && (v = next())) {
-      args.queries = std::atoi(v);
+      ok = ParseNumber(v, &args.queries, 1);
     } else if (flag == "--arities" && (v = next())) {
-      if (!ParseArities(v, &args.arities)) {
-        std::fprintf(stderr, "invalid --arities value: %s\n\n", v);
-        Usage(stderr);
-        return 2;
-      }
+      ok = ParseArities(v, &args.arities);
     } else if (flag == "--zipf" && (v = next())) {
-      args.zipf = std::atof(v);
+      ok = ParseNumber(v, &args.zipf, 0.0);
     } else if (flag == "--seed" && (v = next())) {
-      args.seed = std::strtoull(v, nullptr, 10);
+      ok = ParseNumber(v, &args.seed);
     } else if (flag == "--events" && (v = next())) {
-      args.events = std::atoi(v);
+      ok = ParseNumber(v, &args.events, 1);
     } else if (flag == "--timeout-ms" && (v = next())) {
-      args.timeout_ms = std::atoll(v);
+      ok = ParseNumber(v, &args.timeout_ms, 0);
     } else if (flag == "--max-nodes" && (v = next())) {
-      args.max_nodes = std::atoll(v);
+      ok = ParseNumber(v, &args.max_nodes, 1);
     } else if (flag == "--replan-round" && (v = next())) {
-      args.replan_round = std::atoi(v);
+      ok = ParseNumber(v, &args.replan_round, 1);
     } else if (flag == "--workers" && (v = next())) {
-      args.workers = std::atoi(v);
-    } else if (flag == "--pipeline-depth" && (v = next())) {
-      args.pipeline_depth = std::atoi(v);
+      ok = ParseNumber(v, &args.workers, 0);
     } else if (flag == "--closed-loop") {
       args.closed_loop = true;
     } else if (flag == "--measure-mode" && (v = next())) {
@@ -370,14 +398,12 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(v, "analytic") == 0) {
         args.measure_mode = sqpr::MeasureMode::kAnalytic;
       } else {
-        std::fprintf(stderr, "invalid --measure-mode value: %s\n\n", v);
-        Usage(stderr);
-        return 2;
+        ok = false;
       }
     } else if (flag == "--measure-period" && (v = next())) {
-      args.measure_period = std::atoi(v);
+      ok = ParseNumber(v, &args.measure_period, 1);
     } else if (flag == "--rate-seed" && (v = next())) {
-      args.rate_seed = std::strtoull(v, nullptr, 10);
+      ok = ParseNumber(v, &args.rate_seed);
       args.rate_seed_set = true;
     } else if (flag == "--trace" && (v = next())) {
       args.trace_path = v;
@@ -386,19 +412,15 @@ int main(int argc, char** argv) {
     } else if (flag == "--trace-out" && (v = next())) {
       args.trace_out_path = v;
     } else if (flag == "--trace-capacity" && (v = next())) {
-      args.trace_capacity = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      ok = ParseNumber(v, &args.trace_capacity, 1);
     } else if (flag == "--metrics-out" && (v = next())) {
       args.metrics_out_path = v;
     } else if (flag == "--metrics-interval" && (v = next())) {
-      args.metrics_interval_ms = std::atoll(v);
+      ok = ParseNumber(v, &args.metrics_interval_ms, 0);
     } else if (flag == "--metrics-format" && (v = next())) {
       args.metrics_format = v;
-      if (args.metrics_format != "json" &&
-          args.metrics_format != "openmetrics") {
-        std::fprintf(stderr, "invalid --metrics-format value: %s\n\n", v);
-        Usage(stderr);
-        return 2;
-      }
+      ok = args.metrics_format == "json" ||
+           args.metrics_format == "openmetrics";
     } else if (flag == "--stats-json" && (v = next())) {
       args.stats_json_path = v;
     } else if (flag == "--audit-out" && (v = next())) {
@@ -406,17 +428,17 @@ int main(int argc, char** argv) {
     } else if (flag == "--audit-canonical") {
       args.audit_canonical = true;
     } else if (flag == "--stall-ms" && (v = next())) {
-      args.stall_ms = std::atof(v);
+      ok = ParseNumber(v, &args.stall_ms, 0.0);
     } else if (flag == "--budget-ms" && (v = next())) {
       const char* eq = std::strchr(v, '=');
-      const double ms = eq != nullptr ? std::atof(eq + 1) : -1.0;
-      const std::string stage(v, eq != nullptr ? eq - v : std::strlen(v));
-      if (eq == nullptr || ms <= 0.0) {
+      double ms = 0.0;
+      if (eq == nullptr || !ParseNumber(eq + 1, &ms) || ms <= 0.0) {
         std::fprintf(stderr, "invalid --budget-ms value: %s "
                      "(want STAGE=MS with MS > 0)\n\n", v);
         Usage(stderr);
         return 2;
       }
+      const std::string stage(v, eq - v);
       if (stage == "admit") {
         args.budget_admit_ms = ms;
       } else if (stage == "solve") {
@@ -436,11 +458,11 @@ int main(int argc, char** argv) {
     } else if (flag == "--checkpoint-out" && (v = next())) {
       args.checkpoint_out_path = v;
     } else if (flag == "--checkpoint-every" && (v = next())) {
-      args.checkpoint_every = std::atoll(v);
+      ok = ParseNumber(v, &args.checkpoint_every, 0);
     } else if (flag == "--restore" && (v = next())) {
       args.restore_path = v;
     } else if (flag == "--solve-deadline-ms" && (v = next())) {
-      args.solve_deadline_ms = std::atoll(v);
+      ok = ParseNumber(v, &args.solve_deadline_ms);
     } else if (flag == "--verbose") {
       args.verbose = true;
     } else {
@@ -449,14 +471,11 @@ int main(int argc, char** argv) {
       Usage(stderr);
       return 2;
     }
-  }
-  if (args.hosts < 2 || args.streams < 1 || args.queries < 1 ||
-      args.events < 1 || args.workers < 0 || args.pipeline_depth < 1 ||
-      args.measure_period < 1 || args.metrics_interval_ms < 0 ||
-      args.checkpoint_every < 0) {
-    std::fprintf(stderr, "invalid scenario parameters\n\n");
-    Usage(stderr);
-    return 2;
+    if (!ok) {
+      std::fprintf(stderr, "invalid %s value: %s\n\n", flag.c_str(), v);
+      Usage(stderr);
+      return 2;
+    }
   }
   if (args.checkpoint_every > 0 && args.checkpoint_out_path.empty()) {
     std::fprintf(stderr, "--checkpoint-every requires --checkpoint-out\n\n");
@@ -526,7 +545,6 @@ int main(int argc, char** argv) {
   if (args.max_nodes > 0) options.planner.max_nodes = args.max_nodes;
   options.replan.max_queries_per_round = args.replan_round;
   options.replan.workers = args.workers;
-  options.replan.pipeline_depth = args.pipeline_depth;
   options.closed_loop = args.closed_loop;
   options.telemetry.mode = args.measure_mode;
   options.telemetry.measure_period = args.measure_period;
@@ -541,7 +559,8 @@ int main(int argc, char** argv) {
   options.watchdog.measure_budget_ms = args.budget_measure_ms;
   if (!args.trace_out_path.empty()) {
     obs::TraceRecorder::Options trace_options;
-    trace_options.per_thread_capacity = args.trace_capacity;
+    trace_options.per_thread_capacity =
+        static_cast<size_t>(args.trace_capacity);
     obs::TraceRecorder::Get().Enable(trace_options);
     obs::TraceRecorder::SetCurrentThreadName("loop");
   }
@@ -694,7 +713,7 @@ int main(int argc, char** argv) {
   }
   service.FinishInFlightRound();
   if (!args.checkpoint_out_path.empty()) {
-    // Final checkpoint after the pipeline drains. Written before
+    // Final checkpoint after the in-flight round commits. Written before
     // FinalizeAudit so the checkpoint barrier's own audit records are
     // part of the journal like any other round's.
     if (!write_checkpoint()) return 1;
@@ -703,7 +722,7 @@ int main(int argc, char** argv) {
   }
   service.FinalizeAudit();
   if (metrics_series) {
-    // Final sample after the pipeline drains, so the series always ends
+    // Final sample after the in-flight round commits, so the series ends
     // with the run's complete totals.
     sample_metrics(service.clock().now_ms());
   }
@@ -790,20 +809,17 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.replanned_admitted),
               static_cast<long long>(stats.replanned_rejected),
               service.pending_replans());
-  std::printf("speculative pipeline: %d workers, depth %d, %lld rounds "
-              "dispatched, %lld commit conflicts re-solved inline, %lld "
-              "rounds unwound at barriers, %lld arrival solves overlapped "
-              "in-flight rounds\n",
-              service.workers(), args.pipeline_depth,
+  std::printf("speculative rounds: %d workers, %lld rounds dispatched, "
+              "%lld commit conflicts re-solved inline, %lld arrival solves "
+              "overlapped the in-flight round\n",
+              service.workers(),
               static_cast<long long>(stats.replan_dispatches),
               static_cast<long long>(stats.commit_conflicts),
-              static_cast<long long>(stats.round_unwinds),
               static_cast<long long>(stats.overlapped_arrival_solves));
   if (stats.replan_dispatches > 0 && service.workers() > 0) {
-    std::printf("snapshots: %lld bytes copied on the loop thread "
-                "(%lld rebases across %lld dispatches)\n",
+    std::printf("planner copies: %lld bytes copied on the loop thread "
+                "across %lld dispatches\n",
                 static_cast<long long>(stats.snapshot_bytes_copied),
-                static_cast<long long>(stats.snapshot_rebases),
                 static_cast<long long>(stats.replan_dispatches));
   }
   if (args.stall_ms > 0 || args.budget_admit_ms > 0 ||
@@ -906,10 +922,10 @@ int main(int argc, char** argv) {
     char head[256];
     std::snprintf(head, sizeof(head),
                   "{\"schema\":\"sqpr-service-stats-v1\",\"workers\":%d,"
-                  "\"pipeline_depth\":%d,\"final_t_ms\":%lld,"
+                  "\"final_t_ms\":%lld,"
                   "\"total_wall_ms\":%.6g,\"max_event_ms\":%.6g,"
                   "\"worst_stall_ms\":%.6g,\"stats\":",
-                  service.workers(), args.pipeline_depth,
+                  service.workers(),
                   static_cast<long long>(service.clock().now_ms()),
                   stats.total_wall_ms, stats.max_event_ms,
                   stats.worst_stall_ms);
