@@ -46,9 +46,8 @@ class Model {
   void SetVariableBounds(int var, double lb, double ub);
 
   /// Overwrites a row's bounds in place, keeping its terms. Used by the
-  /// incremental SQPR model patcher: the constraint *skeleton* of a
-  /// grounded query structure is base-state independent, only the
-  /// right-hand sides (residual capacities) move between rounds.
+  /// SQPR model builder, which creates each row before the committed
+  /// deployment's residual capacity sets its right-hand side.
   void SetRowBounds(int row, double lb, double ub);
 
   /// Overwrites a variable's objective coefficient.

@@ -56,15 +56,6 @@ class BranchAndBound {
           return lp_options;
         }()) {}
 
-  /// Installs a starting basis for the first (root) LP solve. The caller
-  /// is responsible for compatibility (Solver::Solve gates on the
-  /// presolve column signature); the simplex itself repairs or silently
-  /// drops a basis it cannot use, so a bad seed costs iterations, not
-  /// correctness.
-  void SeedBasis(std::vector<lp::BasisState> basis) {
-    last_basis_ = std::move(basis);
-  }
-
   MipResult Run();
 
  private:
@@ -104,9 +95,6 @@ class BranchAndBound {
   // Basis of the most recently solved relaxation; used to warm-start the
   // next node/dive LP (plunging makes consecutive LPs near-identical).
   std::vector<lp::BasisState> last_basis_;
-  // Basis of the first root LP solve, exported via MipResult::root_basis
-  // for cross-solve warm starts.
-  std::vector<lp::BasisState> root_basis_;
 
   std::vector<Node> arena_;
   std::priority_queue<QueueEntry> open_;
@@ -316,13 +304,6 @@ int BranchAndBound::ProcessNode(int node_index) {
   ApplyBounds(node_index);
 
   lp::SimplexResult rel = SolveRelaxation(last_basis_);
-  if (node_index == 0 && rel.status == lp::SolveStatus::kOptimal) {
-    // Harvest the root basis before any cut rows land: the next solve of
-    // this structure will carry different cut rows, and the simplex pads
-    // missing trailing rows with basic slacks, so the fewest-row basis
-    // is the most reusable one.
-    root_basis_ = rel.basis_state;
-  }
   // Fractional cut separation loop: tighten the relaxation in place
   // while the handler keeps finding violated rows.
   for (int pass = 0; pass < 5 && rel.status == lp::SolveStatus::kOptimal &&
@@ -385,12 +366,7 @@ int BranchAndBound::ProcessNode(int node_index) {
   const double node_bound = arena_[node_index].bound;
   if (node_index == 0 && rel.status == lp::SolveStatus::kOptimal) {
     root_bound_ = rel.objective;
-    // Warm chains (root_dive=false) skip the dive when the warm-start
-    // incumbent already covers its job; without an incumbent the dive is
-    // the only primal heuristic, so it always runs.
-    if (!IsIntegral(rel.values) && (options_.root_dive || !have_incumbent_)) {
-      DivingHeuristic(rel.values);
-    }
+    if (!IsIntegral(rel.values)) DivingHeuristic(rel.values);
   }
   if (node_bound <= PruneThreshold()) {
     return -1;  // cannot improve on the incumbent beyond the gap
@@ -511,7 +487,6 @@ MipResult BranchAndBound::Run() {
   result.lp_refactorizations = lp_refactorizations_;
   result.lp_factor_reuses = lp_factor_reuses_;
   result.wall_ms = watch.ElapsedMillis();
-  result.root_basis = root_basis_;
 
   double residual_bound = QueueBestBound();
   if (current >= 0) {
@@ -639,23 +614,7 @@ MipResult Solver::Solve(const Model& model, const SolverOptions& caller_options)
                 static_cast<uint64_t>(model.lp.num_rows()));
   if (!options.presolve) {
     BranchAndBound bb(model, options);
-    std::vector<int> all_columns(model.lp.num_variables());
-    for (int v = 0; v < model.lp.num_variables(); ++v) all_columns[v] = v;
-    bool used_warm = false, discarded_warm = false;
-    if (options.root_warm_basis != nullptr &&
-        options.root_warm_basis_columns != nullptr) {
-      if (*options.root_warm_basis_columns == all_columns) {
-        bb.SeedBasis(*options.root_warm_basis);
-        used_warm = true;
-      } else {
-        discarded_warm = true;
-      }
-    }
-    MipResult result = bb.Run();
-    result.root_basis_columns = std::move(all_columns);
-    result.used_warm_basis = used_warm;
-    result.warm_basis_discarded = discarded_warm;
-    return result;
+    return bb.Run();
   }
 
   Presolver pre;
@@ -714,31 +673,7 @@ MipResult Solver::Solve(const Model& model, const SolverOptions& caller_options)
   if (options.lazy != nullptr) inner.lazy = &adapter;
 
   BranchAndBound bb(pre.reduced(), inner);
-  // Cross-solve basis reuse is gated on presolve keeping the *same*
-  // original columns as the solve the basis came from: the reduced space
-  // is indexed by surviving-column order, so a different elimination set
-  // would silently pair basis statuses with the wrong variables (the
-  // stale-basis bug the regression test in milp_test pins). On mismatch,
-  // discard and cold-start.
-  std::vector<int> surviving_columns;
-  surviving_columns.reserve(pre.reduced().lp.num_variables());
-  for (int v = 0; v < pre.num_original_columns(); ++v) {
-    if (pre.column_map(v) >= 0) surviving_columns.push_back(v);
-  }
-  bool used_warm = false, discarded_warm = false;
-  if (options.root_warm_basis != nullptr &&
-      options.root_warm_basis_columns != nullptr) {
-    if (*options.root_warm_basis_columns == surviving_columns) {
-      bb.SeedBasis(*options.root_warm_basis);
-      used_warm = true;
-    } else {
-      discarded_warm = true;
-    }
-  }
   MipResult result = bb.Run();
-  result.root_basis_columns = std::move(surviving_columns);
-  result.used_warm_basis = used_warm;
-  result.warm_basis_discarded = discarded_warm;
   if (result.has_solution()) {
     result.x = pre.Postsolve(result.x);
     result.objective += pre.objective_constant();

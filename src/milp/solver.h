@@ -102,32 +102,12 @@ struct SolverOptions {
   double gap_rel = 1e-6;
   lp::SimplexOptions lp_options;
   LazyConstraintHandler* lazy = nullptr;
-  /// Optional known feasible integral point (e.g. the previous plan in
-  /// SQPR's incremental planning); installed as the initial incumbent
-  /// after a feasibility check.
+  /// Optional known feasible integral point (e.g. the committed plan an
+  /// SQPR admission solve starts from); installed as the initial
+  /// incumbent after a feasibility check. LP bases never cross solves:
+  /// the root LP starts from lp_options (the slack basis by default) and
+  /// every later LP of the search from its predecessor's basis.
   const std::vector<double>* warm_start = nullptr;
-  /// Optional root LP basis from a previous solve of the same model
-  /// structure (MipResult::root_basis of that solve), used to warm-start
-  /// the root relaxation. Only honoured when `root_warm_basis_columns`
-  /// matches the set of columns presolve keeps this time — presolve
-  /// eliminating a different column set re-indexes the reduced space, so
-  /// a stale basis would pair statuses with the wrong variables; on
-  /// mismatch the basis is discarded (MipResult::warm_basis_discarded)
-  /// and the solve cold-starts. The simplex phase-1 repairs any accepted
-  /// basis, so reuse affects iteration counts, never correctness.
-  const std::vector<lp::BasisState>* root_warm_basis = nullptr;
-  /// Original-space column ids that survived presolve when the basis was
-  /// harvested (MipResult::root_basis_columns). Required alongside
-  /// root_warm_basis.
-  const std::vector<int>* root_warm_basis_columns = nullptr;
-  /// Run the root rounding dive (primal heuristic). Callers chaining a
-  /// previous solve of the same structure set this false: the warm-start
-  /// incumbent already plays the dive's role, and re-deriving it from the
-  /// root fractional point is pure repeated work on every re-solve. The
-  /// dive always runs when no incumbent is in hand, regardless of this
-  /// flag — skipping is a policy for warm chains, never a correctness
-  /// lever.
-  bool root_dive = true;
 };
 
 struct MipResult {
@@ -151,21 +131,6 @@ struct MipResult {
   /// caller decides whether the incumbent (kFeasible) is good enough or
   /// a heuristic fallback should take over (kNoSolution).
   bool deadline_hit = false;
-  /// Basis of the first root LP solve (before root cuts — the fewest-row
-  /// form maximises reuse: later solves may carry different cut rows and
-  /// the simplex pads missing trailing rows with basic slacks). Feed back
-  /// via SolverOptions::root_warm_basis. Empty when the root was never
-  /// solved.
-  std::vector<lp::BasisState> root_basis;
-  /// Original-space columns surviving presolve in this solve (all
-  /// columns when presolve was off); the compatibility signature for
-  /// root_basis reuse.
-  std::vector<int> root_basis_columns;
-  /// Whether a supplied root_warm_basis was actually installed.
-  bool used_warm_basis = false;
-  /// Whether a supplied root_warm_basis was rejected because presolve
-  /// eliminated a different column set than when it was harvested.
-  bool warm_basis_discarded = false;
 
   bool has_solution() const {
     return status == MipStatus::kOptimal || status == MipStatus::kFeasible;

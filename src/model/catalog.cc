@@ -287,7 +287,6 @@ Status Catalog::UpdateBaseRate(StreamId base, double new_rate_mbps) {
     op.cpu_cost = cost_model_.OperatorCpuCost(in_rate);
     op.mem_mb = cost_model_.OperatorMemMb(in_rate);
   }
-  rate_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
 }
 

@@ -336,15 +336,6 @@ class Catalog {
   /// requires *exclusive* access: no concurrent reader or interner.
   Status UpdateBaseRate(StreamId base, double new_rate_mbps);
 
-  /// Monotonic counter bumped by every successful UpdateBaseRate. Rates
-  /// and operator costs feed the SQPR model's objective coefficients and
-  /// resource rows, so any cache keyed on model *structure* must include
-  /// this epoch: a rate install invalidates every cached model built
-  /// from the old rates. Lock-free to read (planner hot path).
-  uint64_t rate_epoch() const {
-    return rate_epoch_.load(std::memory_order_acquire);
-  }
-
   /// Shrinks both stores' admission capacity (see
   /// StableStore::set_capacity_for_testing). The producer store tracks
   /// the stream store one-to-one, so it gets the stream limit too.
@@ -373,8 +364,6 @@ class Catalog {
   /// Serialises interning: guards the canonical maps below and the
   /// append side of the stores. Lock-free readers never take it.
   mutable std::mutex intern_mu_;
-
-  std::atomic<uint64_t> rate_epoch_{0};
 
   // Canonical maps. Keys are (kind-tagged) signatures.
   std::map<std::vector<StreamId>, StreamId> join_stream_by_leaves_;

@@ -30,7 +30,6 @@ double Cluster::link_mbps(HostId from, HostId to) const {
 }
 
 void Cluster::SetLink(HostId from, HostId to, double mbps) {
-  ++spec_epoch_;
   const int64_t key = static_cast<int64_t>(from) * num_hosts() + to;
   for (auto& [k, v] : link_overrides_) {
     if (k == key) {
@@ -43,18 +42,15 @@ void Cluster::SetLink(HostId from, HostId to, double mbps) {
 
 void Cluster::SetHostSpec(HostId h, const HostSpec& spec) {
   SQPR_CHECK(h >= 0 && h < num_hosts());
-  ++spec_epoch_;
   hosts_[h] = spec;
   if (hosts_[h].name.empty()) hosts_[h].name = "host" + std::to_string(h);
 }
 
 void Cluster::ScaleCpu(double factor) {
-  ++spec_epoch_;
   for (HostSpec& h : hosts_) h.cpu *= factor;
 }
 
 void Cluster::ScaleBandwidth(double factor) {
-  ++spec_epoch_;
   for (HostSpec& h : hosts_) {
     h.nic_out_mbps *= factor;
     h.nic_in_mbps *= factor;

@@ -64,21 +64,11 @@ class Cluster {
   double TotalNicOut() const;
   double TotalLinkCapacity() const;
 
-  /// Monotonic counter bumped by every spec mutation (SetLink,
-  /// SetHostSpec, ScaleCpu, ScaleBandwidth). Host/link capacities shape
-  /// the SQPR model's rows, bounds and default objective weights, so
-  /// model caches key on this epoch; failure/rejoin (spec swaps) and
-  /// resource sweeps invalidate cached models automatically. Cluster
-  /// mutations happen only on quiesced barriers, so a plain counter
-  /// suffices.
-  uint64_t spec_epoch() const { return spec_epoch_; }
-
  private:
   std::vector<HostSpec> hosts_;
   double default_link_mbps_;
   // Sparse overrides keyed by from * num_hosts + to.
   std::vector<std::pair<int64_t, double>> link_overrides_;
-  uint64_t spec_epoch_ = 0;
 };
 
 }  // namespace sqpr

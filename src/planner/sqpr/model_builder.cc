@@ -68,14 +68,6 @@ SqprMip::SqprMip(const Deployment& base, std::vector<StreamId> streams,
   ApplyBaseState();
 }
 
-void SqprMip::Rebind(const Deployment& base) {
-  SQPR_TRACE_SPAN("planner/model_patch");
-  SQPR_CHECK(base.cluster().num_hosts() == num_hosts_)
-      << "Rebind across clusters of different size";
-  base_ = &base;
-  ApplyBaseState();
-}
-
 int SqprMip::StreamIndex(StreamId s) const {
   auto it = stream_index_.find(s);
   return it == stream_index_.end() ? -1 : it->second;
@@ -202,7 +194,7 @@ void SqprMip::BuildSkeleton() {
   var_y_.assign(static_cast<size_t>(H) * S, -1);
   var_z_.assign(static_cast<size_t>(H) * O, -1);
 
-  // Row tables patched by ApplyBaseState.
+  // Row tables written by ApplyBaseState.
   avail_rows_.assign(static_cast<size_t>(H) * S, -1);
   send_rows_.assign(static_cast<size_t>(H) * S, -1);
   send_fanout_.assign(static_cast<size_t>(H) * S, 0);
@@ -624,41 +616,6 @@ void SqprMip::ApplyBaseState() {
   }
 }
 
-Status SqprMip::CheckModelEquals(const SqprMip& other) const {
-  const lp::Model& a = mip_.lp;
-  const lp::Model& b = other.mip_.lp;
-  if (a.num_variables() != b.num_variables()) {
-    return Status::Internal("variable count " +
-                            std::to_string(a.num_variables()) + " vs " +
-                            std::to_string(b.num_variables()));
-  }
-  if (a.num_rows() != b.num_rows()) {
-    return Status::Internal("row count " + std::to_string(a.num_rows()) +
-                            " vs " + std::to_string(b.num_rows()));
-  }
-  for (int v = 0; v < a.num_variables(); ++v) {
-    if (a.variable_lb(v) != b.variable_lb(v) ||
-        a.variable_ub(v) != b.variable_ub(v) ||
-        a.objective(v) != b.objective(v) ||
-        a.variable_name(v) != b.variable_name(v) ||
-        mip_.integer[v] != other.mip_.integer[v] ||
-        mip_.branch_priority[v] != other.mip_.branch_priority[v]) {
-      return Status::Internal("variable " + std::to_string(v) + " (" +
-                              a.variable_name(v) + ") differs");
-    }
-  }
-  for (int r = 0; r < a.num_rows(); ++r) {
-    if (a.row_lb(r) != b.row_lb(r) || a.row_ub(r) != b.row_ub(r) ||
-        a.row_terms(r) != b.row_terms(r) || a.row_name(r) != b.row_name(r)) {
-      return Status::Internal("row " + std::to_string(r) + " (" +
-                              a.row_name(r) + ") differs: ub " +
-                              std::to_string(a.row_ub(r)) + " vs " +
-                              std::to_string(b.row_ub(r)));
-    }
-  }
-  return Status::OK();
-}
-
 std::vector<double> SqprMip::WarmStart() const {
   SQPR_TRACE_SPAN("planner/warm_start");
   std::vector<double> x(mip_.lp.num_variables(), 0.0);
@@ -844,56 +801,24 @@ int SqprMip::CycleCutHandler::Separate(const std::vector<double>& point,
     }
     const double rhs = static_cast<double>(cycle.size()) - 1.0;
     if (activity <= rhs + 1e-7) continue;  // heuristic cycle not violated
-    std::string name = "cycle_cut_s" + std::to_string(s);
-    if (harvest_ != nullptr) {
-      // Cycle cuts are valid for every integral acyclic point of this
-      // skeleton, independent of the base deployment — poolable.
-      harvest_->Add({-lp::kInf, rhs, terms, name});
-    }
-    relaxation->AddRow(-lp::kInf, rhs, std::move(terms), std::move(name));
+    relaxation->AddRow(-lp::kInf, rhs, std::move(terms),
+                       "cycle_cut_s" + std::to_string(s));
     ++cuts;
   }
   span.set_args(static_cast<uint64_t>(cuts));
   return cuts;
 }
 
-int SqprMip::CycleCutHandler::SeparateFromPool(
-    const std::vector<double>& point, lp::Model* relaxation) {
-  if (pool_ == nullptr || pool_->empty()) return 0;
-  const std::vector<milp::PooledCut>& cuts = pool_->cuts();
-  if (pool_added_.size() < cuts.size()) pool_added_.resize(cuts.size(), false);
-  int added = 0;
-  for (size_t i = 0; i < cuts.size(); ++i) {
-    if (pool_added_[i]) continue;
-    const milp::PooledCut& cut = cuts[i];
-    double activity = 0.0;
-    for (const auto& term : cut.terms) {
-      activity += point[term.first] * term.second;
-    }
-    if (activity <= cut.ub + 1e-7) continue;
-    pool_added_[i] = true;
-    relaxation->AddRow(cut.lb, cut.ub, cut.terms, cut.name);
-    ++added;
-  }
-  return added;
-}
-
 int SqprMip::CycleCutHandler::AddViolatedCuts(
     const std::vector<double>& candidate, lp::Model* relaxation) {
-  // Violated pooled cuts first: they can kill several cycles in one
-  // callback, where the DFS detector emits one per stream.
-  int cuts = SeparateFromPool(candidate, relaxation);
-  cuts += Separate(candidate, /*arc_threshold=*/0.5, relaxation);
-  return cuts;
+  return Separate(candidate, /*arc_threshold=*/0.5, relaxation);
 }
 
 int SqprMip::CycleCutHandler::AddFractionalCuts(
     const std::vector<double>& point, lp::Model* relaxation) {
-  int cuts = SeparateFromPool(point, relaxation);
   // Arcs above 0.35 can participate in violated 2- and 3-cycles; the
   // violation test filters false positives from longer cycles.
-  cuts += Separate(point, /*arc_threshold=*/0.35, relaxation);
-  return cuts;
+  return Separate(point, /*arc_threshold=*/0.35, relaxation);
 }
 
 }  // namespace sqpr

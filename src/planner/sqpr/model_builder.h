@@ -66,16 +66,13 @@ struct SqprModelOptions {
 /// is folded in as residual capacities and availability pins rather than
 /// as variables.
 ///
-/// Construction is split into a *skeleton* and a *base-state* pass. The
-/// skeleton — which variables and rows exist, their terms, objective
-/// coefficients and names — depends only on the relevant sets, the
-/// catalog's stream rates/operator costs and the cluster specs, never on
-/// the committed deployment. The committed deployment only moves row
-/// right-hand sides (residual capacities), availability pins (y bounds)
-/// and the warm start. Rebind() re-runs just the base-state pass, which
-/// is how a model cached for a grounded structure is patched between
-/// rounds instead of rebuilt; both paths execute the same code, so a
-/// rebound model is bit-identical to a fresh build by construction.
+/// Construction runs in two passes. The *skeleton* pass creates the
+/// variables and rows — their terms, objective coefficients and names —
+/// from the relevant sets, the catalog's stream rates/operator costs and
+/// the cluster specs. The *base-state* pass then writes what the
+/// committed deployment decides: row right-hand sides (residual
+/// capacities) and availability pins (y bounds). Every submission builds
+/// a fresh model, so a solve depends on the committed state only.
 class SqprMip {
  public:
   /// Builds the reduced model.
@@ -108,23 +105,6 @@ class SqprMip {
   /// (never happens for deployments produced by this planner).
   std::vector<double> WarmStart() const;
 
-  /// Re-targets the model at a different committed deployment with the
-  /// same grounded structure (identical relevant sets, catalog rates and
-  /// cluster specs — callers key their cache on exactly that) by
-  /// re-running the base-state pass: row right-hand sides, availability
-  /// pins and nothing else. O(rows) instead of O(rows · terms) — no
-  /// allocation, no term rebuilding, no name formatting. After Rebind,
-  /// WarmStart()/Commit() operate against the new deployment, which must
-  /// outlive the model.
-  void Rebind(const Deployment& base);
-
-  /// Deep structural + numeric equality against another built model:
-  /// variable count/bounds/objective/integrality/priority/names and row
-  /// count/bounds/terms/names. Used by the differential solver-equivalence
-  /// harness to pin "incrementally patched == freshly built"; returns a
-  /// description of the first mismatch.
-  Status CheckModelEquals(const SqprMip& other) const;
-
   /// True when the candidate admits the demanded stream (Σ_h d_hs ≥ 1).
   bool Serves(const std::vector<double>& x, StreamId s) const;
 
@@ -146,42 +126,18 @@ class SqprMip {
     int AddFractionalCuts(const std::vector<double>& point,
                           lp::Model* relaxation) override;
 
-    /// Optional pool that every emitted cycle cut is also recorded into
-    /// (terms are in this model's original variable space). Cycle cuts
-    /// are valid for *every* integral acyclic point of the same skeleton
-    /// — they do not depend on the base deployment — so a planner can
-    /// replay pooled cuts into later solves of the same grounded
-    /// structure instead of rediscovering them node by node.
-    void set_harvest(milp::CutPool* pool) { harvest_ = pool; }
-
-    /// Optional read-only pool consulted as a *separation source*: at
-    /// each lazy callback, pooled cuts violated by the current point are
-    /// appended (each at most once per solve) before the DFS detector
-    /// runs. This replaces bulk up-front injection — injecting the whole
-    /// pool bloats every node LP with rows the search never violates,
-    /// which is measurably slower than solving cold on small models,
-    /// while violation-gated replay only pays for rows that bind.
-    void set_pool(const milp::CutPool* pool) { pool_ = pool; }
-
    private:
     // Shared separation: consider arcs with value > arc_threshold and
     // emit the cut only when actually violated by `point`.
     int Separate(const std::vector<double>& point, double arc_threshold,
                  lp::Model* relaxation);
-    // Appends pooled cuts violated by `point` that this handler has not
-    // already added. Returns the number of rows appended.
-    int SeparateFromPool(const std::vector<double>& point,
-                         lp::Model* relaxation);
 
     const SqprMip* owner_;
-    milp::CutPool* harvest_ = nullptr;
-    const milp::CutPool* pool_ = nullptr;
-    std::vector<bool> pool_added_;
   };
 
  private:
-  /// Base-dependent inputs of one ApplyBaseState() pass, recomputed from
-  /// *base_ each time the model is (re)bound.
+  /// Base-dependent inputs of the ApplyBaseState() pass, computed from
+  /// *base_.
   struct BaseState {
     std::vector<double> cpu_resid, mem_resid, nic_out_resid, nic_in_resid;
     std::map<std::pair<HostId, HostId>, double> link_extra;
@@ -192,12 +148,11 @@ class SqprMip {
   int StreamIndex(StreamId s) const;
   int OpIndex(OperatorId o) const;
   /// Creates variables and rows (base-independent) and records the row
-  /// indices the base-state pass patches.
+  /// indices the base-state pass writes.
   void BuildSkeleton();
   BaseState ComputeBaseState() const;
   /// Writes every base-dependent value: y bounds and the right-hand
-  /// sides of avail/send/link/nic/cpu/mem/loadbal rows. Fresh builds and
-  /// Rebind() both end here, so the two are indistinguishable.
+  /// sides of avail/send/link/nic/cpu/mem/loadbal rows.
   void ApplyBaseState();
 
   const Deployment* base_;
@@ -217,7 +172,7 @@ class SqprMip {
   std::map<std::pair<HostId, StreamId>, int> var_d_;
   int var_t_ = -1;
 
-  // Row indices patched by ApplyBaseState (-1 = row absent).
+  // Row indices written by ApplyBaseState (-1 = row absent).
   std::vector<int> avail_rows_;    // m * S' + si
   std::vector<int> send_rows_;     // h * S' + si
   std::vector<int> send_fanout_;   // h * S' + si (valid where send row)

@@ -1,7 +1,6 @@
 #include "planner/sqpr/sqpr_planner.h"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 #include <utility>
 
@@ -12,23 +11,12 @@
 #include "planner/heuristic/heuristic_planner.h"
 
 namespace sqpr {
-namespace {
-
-/// Payoff gate for pooled-cut replay: every replayed cut is a candidate
-/// extra row in every node LP, so replay only engages when the model has
-/// at least this many rows per pooled cut. Below the gate the lazy DFS
-/// rediscovers cycles cheaply and replay is a measured net loss.
-constexpr int kMinRowsPerPooledCut = 8;
-
-}  // namespace
-
 SqprPlanner::SqprPlanner(const Cluster* cluster, Catalog* catalog,
                          Options options)
     : cluster_(cluster),
       catalog_(catalog),
       options_(options),
-      deployment_(cluster, catalog),
-      cache_(std::make_shared<SqprSolveCache>()) {}
+      deployment_(cluster, catalog) {}
 
 Result<SqprPlanner::RelevantSets> SqprPlanner::ComputeRelevantSets(
     const std::vector<StreamId>& new_queries) {
@@ -103,72 +91,13 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
   Result<RelevantSets> sets = ComputeRelevantSets(fresh);
   if (!sets.ok()) return sets.status();
 
-  // Structural identity of this solve: equal keys build bit-identical
-  // skeletons, so a cached model can be rebound instead of rebuilt and
-  // the previous round's basis/cuts can seed the search.
-  SolveKey key;
-  key.streams = sets->streams;
-  key.operators = sets->operators;
-  key.demands.reserve(sets->demands.size());
-  for (const DemandSpec& d : sets->demands) {
-    key.demands.emplace_back(d.stream, d.must_serve ? 1 : 0);
-  }
-  key.rate_epoch = catalog_->rate_epoch();
-  key.spec_epoch = cluster_->spec_epoch();
-
-  std::unique_ptr<SqprMip> mip_owned;
-  bool patched = false;
-  if (options_.enable_model_cache && cache_ != nullptr) {
-    mip_owned = cache_->Checkout(key);
-  }
-  if (mip_owned != nullptr) {
-    mip_owned->Rebind(deployment_);
-    patched = true;
-    if (options_.verify_incremental) {
-      // Differential mode: the patched skeleton must match a fresh build
-      // bit for bit — any divergence means a base-dependent quantity
-      // leaked into the skeleton (or a patch missed a bound).
-      SqprMip reference(deployment_, sets->streams, sets->operators,
-                        sets->demands, options_.model);
-      const Status same = mip_owned->CheckModelEquals(reference);
-      SQPR_CHECK(same.ok()) << "patched model diverged from fresh build: "
-                            << same.ToString();
-    }
-  } else {
-    mip_owned = std::make_unique<SqprMip>(deployment_, sets->streams,
-                                          sets->operators, sets->demands,
-                                          options_.model);
-  }
-  SqprMip& mip = *mip_owned;
+  // A fresh model per submission: the solve sees the committed state and
+  // nothing else, so a restored service decides exactly as an
+  // uninterrupted one.
+  SqprMip mip(deployment_, sets->streams, sets->operators, sets->demands,
+              options_.model);
   const std::vector<double> warm = mip.WarmStart();
-
-  // Prior-round artifacts for this structure, if any. Three warm levers,
-  // each gated deterministically (never on measured wall time — replay
-  // and fingerprint determinism depend on identical decisions at every
-  // worker count):
-  //  * the root basis warm-starts the first LP (discarded inside the
-  //    solver if presolve keeps different columns this round);
-  //  * the root rounding dive is skipped — the warm-start incumbent
-  //    already plays its role, and the cut rows the dive's throwaway
-  //    points separate pollute every later node LP;
-  //  * pooled cycle cuts become a *separation source* for the lazy
-  //    handler, but only when the model is large enough that extra rows
-  //    can pay for themselves (bulk up-front injection measured slower
-  //    than cold on small models: +33% rows in every node LP for ~5%
-  //    fewer nodes).
-  std::shared_ptr<const SolveArtifacts> prior;
-  auto art_it = artifacts_.find(key);
-  if (art_it != artifacts_.end()) prior = art_it->second;
-
-  auto next_art = std::make_shared<SolveArtifacts>();
-  if (prior != nullptr) next_art->cuts = prior->cuts;
   SqprMip::CycleCutHandler cycle_handler(&mip);
-  cycle_handler.set_harvest(&next_art->cuts);
-  if (prior != nullptr && !prior->cuts.empty() &&
-      mip.mip().lp.num_rows() >=
-          kMinRowsPerPooledCut * static_cast<int>(prior->cuts.size())) {
-    cycle_handler.set_pool(&prior->cuts);
-  }
 
   milp::SolverOptions solver_options;
   solver_options.deadline = Deadline::AfterMillis(
@@ -184,11 +113,6 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
   if (options_.model.acyclicity == AcyclicityMode::kLazyCycleCuts) {
     solver_options.lazy = &cycle_handler;
   }
-  if (prior != nullptr && !prior->root_basis.empty()) {
-    solver_options.root_warm_basis = &prior->root_basis;
-    solver_options.root_warm_basis_columns = &prior->root_basis_columns;
-  }
-  if (prior != nullptr) solver_options.root_dive = false;
 
   span.set_args(fresh.size(), sets->streams.size());
   milp::Solver solver;
@@ -213,20 +137,6 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
         }
       }
     }
-  }
-
-  // Harvest this round's by-products for the next solve of the same
-  // structure, and return the skeleton to the pool. Both are keyed by
-  // `key`, so a rate/spec epoch bump or a different relevant set makes
-  // them unreachable rather than stale.
-  next_art->root_basis = std::move(result.root_basis);
-  next_art->root_basis_columns = std::move(result.root_basis_columns);
-  last_artifact_key_ = key;
-  last_artifacts_ = next_art;
-  artifacts_[key] = std::move(next_art);
-  if (artifacts_.size() > 64) artifacts_.clear();
-  if (options_.enable_model_cache && cache_ != nullptr) {
-    cache_->Return(key, std::move(mip_owned));
   }
 
   // §VII greedy fallback: queries the deadline-bound solver could not
@@ -258,10 +168,6 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
     s.objective = result.has_solution() ? result.objective : 0.0;
     s.proved_optimal = result.status == milp::MipStatus::kOptimal;
     s.deadline_hit = result.deadline_hit;
-    s.model_patched = patched;
-    s.model_rebuilt = !patched;
-    s.warm_started = result.used_warm_basis;
-    s.basis_discarded = result.warm_basis_discarded;
   }
   return stats;
 }
@@ -477,11 +383,6 @@ Result<AdmissionProposal> SqprPlanner::ProposeAdmission(
   SqprPlanner scratch(cluster_, catalog_, options_);
   scratch.deployment_ = deployment_;
   scratch.admitted_ = admitted_;
-  // Share the model pool (internally synchronised; Checkout is
-  // exclusive) and copy the artifact table so the scratch solve can
-  // warm-start; its own harvest travels back inside the proposal.
-  scratch.cache_ = cache_;
-  scratch.artifacts_ = artifacts_;
 
   AdmissionProposal proposal;
   proposal.query = query;
@@ -489,8 +390,6 @@ Result<AdmissionProposal> SqprPlanner::ProposeAdmission(
   Result<PlanningStats> stats = scratch.SubmitQuery(query);
   if (!stats.ok()) return stats.status();
   proposal.stats = *stats;
-  proposal.artifact_key = scratch.last_artifact_key_;
-  proposal.artifacts = std::move(scratch.last_artifacts_);
   if (stats->admitted && !stats->already_served) {
     proposal.delta = DiffDeployments(deployment_, scratch.deployment_);
   }
@@ -510,8 +409,7 @@ Result<PlanningStats> SqprPlanner::CommitProposal(
     // equivalent query meanwhile: free dedup, nothing to apply. A fresh
     // inline solve at this point would dedup identically — and would
     // not have run a MILP — so taking this path before the version gate
-    // (and installing no artifacts) keeps the commit equal to an inline
-    // solve.
+    // keeps the commit equal to an inline solve.
     stats.admitted = true;
     stats.already_served = true;
     return stats;
@@ -520,26 +418,13 @@ Result<PlanningStats> SqprPlanner::CommitProposal(
     // Strict staleness gate: the committed state structurally diverged
     // from the state the proposal was solved against, so the delta may
     // encode decisions (placements, reuse) a fresh solve of the live
-    // state would not make. Nothing is adopted — not even the solve
-    // artifacts: a stale solve's root basis and pooled cuts steer the
-    // node-bounded search of later solves, so installing them would let
-    // a stale speculation change which incumbents those solves stop on. The
-    // caller re-solves inline; that solve installs its own artifacts at
-    // this same logical point.
+    // state would not make. Nothing is adopted; the caller re-solves
+    // inline.
     return Status::FailedPrecondition(
         "proposal for stream " + std::to_string(proposal.query) +
         " solved against structure version " +
         std::to_string(proposal.base_version) + ", committed state is at " +
         std::to_string(deployment_.structure_version()));
-  }
-  // The version matched: the proposal's base state is bit-identical to
-  // the live state, so these by-products are exactly what an inline
-  // solve here would have harvested. Install on the committing thread,
-  // in commit order, to keep the artifact table identical across worker
-  // counts.
-  if (proposal.artifacts != nullptr) {
-    artifacts_[proposal.artifact_key] = proposal.artifacts;
-    if (artifacts_.size() > 64) artifacts_.clear();
   }
   if (!stats.admitted || stats.already_served) {
     // The solve rejected the query — or saw it as already served against

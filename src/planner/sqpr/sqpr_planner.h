@@ -2,8 +2,6 @@
 #define SQPR_PLANNER_SQPR_SQPR_PLANNER_H_
 
 #include <cstddef>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,7 +10,6 @@
 #include "plan/deployment.h"
 #include "planner/planner.h"
 #include "planner/sqpr/model_builder.h"
-#include "planner/sqpr/model_cache.h"
 
 namespace sqpr {
 
@@ -48,13 +45,6 @@ struct AdmissionProposal {
   /// equals re-solving inline. Anything weaker would let the moment a
   /// solve happened to start change committed plans.
   uint64_t base_version = 0;
-  /// Solve by-products (root LP basis, pooled cycle cuts) harvested by
-  /// the scratch solve, keyed by the solve's structural identity; null
-  /// when no MILP ran (dedup or fast-path admissions). CommitProposal
-  /// installs them into the committing planner's artifact table so the
-  /// next solve of the same structure warm-starts.
-  SolveKey artifact_key;
-  std::shared_ptr<const SolveArtifacts> artifacts;
 };
 
 class SqprPlanner : public Planner {
@@ -91,18 +81,6 @@ class SqprPlanner : public Planner {
     /// so reuse/replanning quality is unchanged whenever the solver
     /// finishes in time.
     bool greedy_fallback = true;
-    /// Reuse built model skeletons across rounds of the same solve
-    /// structure (SqprSolveCache): a cache hit patches bounds against the
-    /// current deployment (SqprMip::Rebind) instead of rebuilding every
-    /// row, and carries the previous round's root basis and pooled cycle
-    /// cuts into the solve. Performance-only — a patched model is
-    /// bit-identical to a fresh build.
-    bool enable_model_cache = true;
-    /// Debug/differential-test mode: after every cache hit, also build
-    /// the model from scratch and SQPR_CHECK the patched copy is
-    /// bit-identical (CheckModelEquals). Defeats the point of the cache;
-    /// keep off outside tests.
-    bool verify_incremental = false;
     SqprModelOptions model;
   };
 
@@ -234,22 +212,6 @@ class SqprPlanner : public Planner {
   Options options_;
   Deployment deployment_;
   std::vector<StreamId> admitted_;
-
-  // ---- Incremental-solve state (performance-only; see model_cache.h).
-  // The model cache is shared — by pointer — with every scratch planner
-  // and planner copy spawned from this one, so speculative solves on worker
-  // threads benefit from (and refill) the same pool. The artifact table
-  // is value-copied into scratch planners; updates flow back through the
-  // proposal (AdmissionProposal::artifacts → CommitProposal), which
-  // keeps installation on the committing thread in deterministic commit
-  // order.
-  std::shared_ptr<SqprSolveCache> cache_;
-  std::map<SolveKey, std::shared_ptr<const SolveArtifacts>> artifacts_;
-  /// Key + artifacts of the most recent SubmitBatch MILP solve on *this*
-  /// planner; ProposeAdmission harvests them from its scratch planner
-  /// into the proposal. Null when the last submission skipped the MILP.
-  SolveKey last_artifact_key_;
-  std::shared_ptr<const SolveArtifacts> last_artifacts_;
 };
 
 }  // namespace sqpr

@@ -316,7 +316,8 @@ Result<std::string> PlanningService::ExportCheckpoint() {
 
   // Every base stream's current rate estimate. The restore path only
   // replays the ones that differ from the rebuilt catalog's values, so
-  // the rate_epoch advances once per drifted stream, not per stream.
+  // it pays one catalog-wide rate recomputation per drifted stream, not
+  // per stream.
   JsonValue rates = JsonValue::Array();
   for (StreamId s = 0; s < catalog_->num_streams(); ++s) {
     const StreamInfo& info = catalog_->stream(s);

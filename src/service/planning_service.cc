@@ -110,12 +110,6 @@ void ServiceMetricsPublisher::Publish(const ServiceStats& stats) {
   Bump("service.round_unwinds", stats.round_unwinds, &last_.round_unwinds);
   Bump("service.overlapped_arrival_solves", stats.overlapped_arrival_solves,
        &last_.overlapped_arrival_solves);
-  Bump("service.model_patches", stats.model_patches, &last_.model_patches);
-  Bump("service.model_rebuilds", stats.model_rebuilds,
-       &last_.model_rebuilds);
-  Bump("service.warm_starts", stats.warm_starts, &last_.warm_starts);
-  Bump("service.basis_discards", stats.basis_discards,
-       &last_.basis_discards);
   Bump("service.catalog_exhausted", stats.catalog_exhausted,
        &last_.catalog_exhausted);
   Bump("service.solver_deadline_breaches", stats.solver_deadline_breaches,
@@ -564,10 +558,6 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
 }
 
 void PlanningService::CountSolveStats(const PlanningStats& stats) {
-  if (stats.model_patched) ++stats_.model_patches;
-  if (stats.model_rebuilt) ++stats_.model_rebuilds;
-  if (stats.warm_started) ++stats_.warm_starts;
-  if (stats.basis_discarded) ++stats_.basis_discards;
   if (stats.deadline_hit) ++stats_.solver_deadline_breaches;
   if (stats.admitted && stats.admitted_via_heuristic) {
     ++stats_.heuristic_fallbacks;
@@ -1087,9 +1077,7 @@ void PlanningService::CommitInFlightRound(EventOutcome* outcome) {
       // arrival, a departure with fallout or an earlier commit in this
       // round. Fall through to a synchronous re-solve against the live
       // state — still deterministic, since it depends only on the
-      // commit order, and warm: the model cache and the artifacts
-      // installed by whichever commit caused the conflict are exactly
-      // the structures the retry re-solves against.
+      // commit order.
     } else {
       SQPR_LOG_WARN << "speculative solve for query " << q
                     << " failed: " << proposal.status().ToString();

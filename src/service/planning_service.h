@@ -173,15 +173,11 @@ struct ServiceStats {
   /// pre-speculative service paid as barrier wait), which is the
   /// latency win bench_service_churn measures.
   int64_t overlapped_arrival_solves = 0;
-  /// Incremental-solve counters (the planner's model cache and warm
-  /// starts). MILP solves either patch a cached model skeleton in
-  /// O(bounds) — model_patches — or build one from scratch —
-  /// model_rebuilds (always on a structure's first solve, and after a
-  /// rate/spec epoch bump invalidates the cache). warm_starts counts
-  /// solves that installed the previous round's root LP basis;
-  /// basis_discards counts bases rejected because presolve eliminated a
-  /// different column set than when the basis was harvested (the solve
-  /// then cold-starts — slower, never wrong).
+  /// Always 0: the cross-round model cache and root-basis warm starts
+  /// were removed, so every MILP solve builds its model from scratch
+  /// and the milp/solve span count (perfbench's milp.solves) is the
+  /// build count. Kept so existing stats readers and benches keep their
+  /// schema.
   int64_t model_patches = 0;
   int64_t model_rebuilds = 0;
   int64_t warm_starts = 0;
@@ -299,10 +295,9 @@ class ServiceMetricsPublisher {
 /// earlier barrier), so committed deployments are bit-identical across
 /// worker counts. Arrivals committed during event N+1 can make a
 /// proposal stale; the planner's strict structure-version gate bounces
-/// it at commit (installing none of its solve artifacts) and the service
-/// re-solves it inline against the live state — deterministic, since it
-/// depends only on the commit order (the commit_conflicts counter;
-/// warm-started, so the retry is cheap). With workers >= 1 the solves
+/// it at commit and the service re-solves it inline against the live
+/// state — deterministic, since it depends only on the commit order (the
+/// commit_conflicts counter). With workers >= 1 the solves
 /// run on a pool while the loop thread keeps consuming events; with
 /// workers == 0 they run synchronously at dispatch against the live
 /// planner — the state the copy would capture. Cache-miss arrivals solve
@@ -519,7 +514,7 @@ class PlanningService {
   /// 3 = rejected (retried through the next round once, arrivals only).
   void AuditDeadlineBreach(StreamId query, const PlanningStats& stats) const;
 
-  /// Folds one solve's incremental-path telemetry into the aggregate
+  /// Folds one solve's degraded-mode telemetry into the aggregate
   /// counters (loop thread only; worker-side solves are counted when
   /// their proposals commit).
   void CountSolveStats(const PlanningStats& stats);

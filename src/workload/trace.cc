@@ -336,10 +336,15 @@ Result<std::vector<Event>> LoadTrace(const std::string& path) {
       events.push_back(kind == "host-failure" ? Event::HostFailure(t, h)
                                               : Event::HostJoin(t, h));
     } else if (kind == "monitor") {
-      size_t n;
+      // Counts are read signed (an unsigned read wraps "-1" to 2^64-1)
+      // and never size an allocation up front: entries are appended as
+      // they parse, so a count larger than the tokens on the line is a
+      // "missing ... entry" error, not a multi-gigabyte resize.
+      int64_t n;
       if (!(ss >> n)) return bad("missing rate count");
+      if (n < 0) return bad("negative rate count");
       std::map<StreamId, double> rates;
-      for (size_t i = 0; i < n; ++i) {
+      for (int64_t i = 0; i < n; ++i) {
         StreamId s;
         double rate;
         if (!(ss >> s >> rate)) return bad("missing rate entry");
@@ -349,11 +354,13 @@ Result<std::vector<Event>> LoadTrace(const std::string& path) {
       std::string marker;
       if (ss >> marker) {
         if (marker != "cpu") return bad("unexpected trailing token");
-        size_t m;
+        int64_t m;
         if (!(ss >> m)) return bad("missing cpu count");
-        cpu.resize(m);
-        for (size_t i = 0; i < m; ++i) {
-          if (!(ss >> cpu[i])) return bad("missing cpu entry");
+        if (m < 0) return bad("negative cpu count");
+        for (int64_t i = 0; i < m; ++i) {
+          double u;
+          if (!(ss >> u)) return bad("missing cpu entry");
+          cpu.push_back(u);
         }
       }
       events.push_back(

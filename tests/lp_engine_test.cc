@@ -7,7 +7,8 @@
 // really took the kept-inverse paths (plain reuse, bordered extension by
 // appended rows) rather than refactorizing every time. A pinned digest
 // of the same corpus plus a node-bounded MILP search holds the engine's
-// pivot path fixed.
+// pivot path fixed. A randomised warm-vs-cold pair pins the parent →
+// child basis hand-off a search relies on.
 
 #include <gtest/gtest.h>
 
@@ -401,6 +402,49 @@ TEST(LpEngineTest, KernelRewriteKeepsPivotPath) {
         << "solve " << i;
   }
 }
+
+/// Warm-started simplex == cold-started simplex on the same model, over
+/// randomised LPs (objective equality; the vertex may differ under
+/// degeneracy, the value may not). This is the one basis hand-off a
+/// MILP search makes: a child node's LP starts from its parent's basis.
+class WarmSimplexTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(WarmSimplexTest, WarmBasisReachesColdObjective) {
+  const uint64_t seed = 0x3a51 + static_cast<uint64_t>(GetParam());
+  Rng rng(seed);
+  Model m;
+  const int n = 6 + static_cast<int>(rng.NextUint64() % 6);
+  for (int v = 0; v < n; ++v) {
+    m.AddVariable(0.0, 1.0 + 4.0 * rng.NextDouble(),
+                  rng.NextDouble() * 10.0 - 2.0);
+  }
+  const int rows = 4 + static_cast<int>(rng.NextUint64() % 5);
+  for (int r = 0; r < rows; ++r) {
+    std::vector<std::pair<int, double>> terms;
+    for (int v = 0; v < n; ++v) {
+      if (rng.NextDouble() < 0.5) {
+        terms.emplace_back(v, rng.NextDouble() * 4.0 - 1.0);
+      }
+    }
+    if (terms.empty()) terms.emplace_back(0, 1.0);
+    m.AddRow(-kInf, 1.0 + 5.0 * rng.NextDouble(), std::move(terms));
+  }
+
+  SimplexSolver cold;
+  const SimplexResult first = cold.Solve(m);
+  ASSERT_EQ(first.status, SolveStatus::kOptimal) << "seed " << seed;
+
+  SimplexOptions warm_options;
+  warm_options.warm_basis = &first.basis_state;
+  SimplexSolver warm(warm_options);
+  const SimplexResult second = warm.Solve(m);
+  ASSERT_EQ(second.status, SolveStatus::kOptimal) << "seed " << seed;
+  EXPECT_NEAR(second.objective, first.objective, 1e-7) << "seed " << seed;
+  // Restarting at the optimal basis must not need meaningful work.
+  EXPECT_LE(second.iterations, first.iterations) << "seed " << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WarmSimplexTest, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace lp

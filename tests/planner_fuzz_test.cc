@@ -136,82 +136,5 @@ TEST_P(AdaptiveFuzzTest, AdaptiveCycleKeepsInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AdaptiveFuzzTest, ::testing::Range(0, 6));
 
-/// Model-patch fuzzing for the incremental solve path: random
-/// interleavings of admissions, evictions and rate drift against the
-/// planner with Options::verify_incremental on — every cache hit then
-/// rebuilds the model from scratch and SQPR_CHECKs the patched skeleton
-/// bit-identical (variable/row counts, every bound, term and objective
-/// coefficient), so a stale row or column surviving a structure change
-/// aborts the test at the first divergent solve.
-class ModelPatchFuzzTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ModelPatchFuzzTest, PatchedModelsMatchFreshBuilds) {
-  const uint64_t seed = 0x9a7c + static_cast<uint64_t>(GetParam());
-  Rng rng(seed);
-
-  Catalog catalog(CostModel{});
-  Cluster cluster(4, HostSpec{0.6, 90.0, 90.0, ""}, 180.0);
-  WorkloadConfig wc;
-  wc.num_base_streams = 16;
-  wc.num_queries = 30;
-  wc.arities = {2, 3};
-  wc.seed = seed;
-  Workload workload = *GenerateWorkload(wc, 4, &catalog);
-
-  SqprPlanner::Options options;
-  options.timeout_ms = 150;
-  options.verify_incremental = true;
-  SqprPlanner planner(&cluster, &catalog, options);
-  ResourceMonitor monitor(&catalog, DriftOptions{});
-
-  int64_t patched = 0;
-  size_t next_query = 0;
-  for (int step = 0; step < 50; ++step) {
-    const double dice = rng.NextDouble();
-    if (dice < 0.45 && next_query < workload.queries.size()) {
-      Result<PlanningStats> stats =
-          planner.SubmitQuery(workload.queries[next_query++]);
-      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      if (stats->model_patched) ++patched;
-    } else if (dice < 0.6 && !planner.admitted_queries().empty()) {
-      const auto& admitted = planner.admitted_queries();
-      const StreamId victim = admitted[rng.NextUint64() % admitted.size()];
-      ASSERT_TRUE(planner.RemoveQuery(victim).ok());
-    } else if (dice < 0.9 && !planner.admitted_queries().empty()) {
-      // Replans repeat a solve structure almost verbatim — the densest
-      // source of cache hits, hence of verified patches.
-      const auto& admitted = planner.admitted_queries();
-      const StreamId q = admitted[rng.NextUint64() % admitted.size()];
-      Result<std::vector<PlanningStats>> stats = planner.ReplanQueries({q});
-      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      if (stats->front().model_patched) ++patched;
-    } else if (!planner.admitted_queries().empty()) {
-      // Drift: bumps the catalog's rate epoch, so every cached model
-      // must become unreachable (a hit *after* this would verify
-      // against a fresh build under the new rates and abort on the
-      // first stale coefficient).
-      std::map<StreamId, double> measured;
-      const StreamId drifting =
-          workload
-              .base_streams[rng.NextUint64() % workload.base_streams.size()];
-      measured[drifting] = 5.0 + 20.0 * rng.NextDouble();
-      const DriftReport report =
-          monitor.Analyze(measured, std::vector<double>(4, 0.5),
-                          planner.admitted_queries());
-      Result<std::vector<PlanningStats>> stats =
-          AdaptiveReplan(&planner, &catalog, measured, report);
-      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    }
-    const Status audit = planner.deployment().Validate();
-    ASSERT_TRUE(audit.ok())
-        << "seed " << seed << " step " << step << ": " << audit.ToString();
-  }
-  // The fuzz must actually hit the cache for the verification to mean
-  // anything.
-  EXPECT_GT(patched, 0) << "seed " << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ModelPatchFuzzTest, ::testing::Range(0, 6));
-
 }  // namespace
 }  // namespace sqpr

@@ -536,6 +536,118 @@ TEST_P(ServiceReplayPropertyTest, ClosedLoopCheckpointRestoreInvariant) {
 INSTANTIATE_TEST_SUITE_P(Traces, ServiceReplayPropertyTest,
                          ::testing::Range(uint64_t{1}, uint64_t{21}));
 
+// The crash-restore drill `sqpr_service --hosts 3 --queries 20
+// --events 300 --max-nodes 20 --timeout-ms 60000 --checkpoint-every 25`
+// killed after event 100 (SQPR_FAULT=event:100), run in-process: the
+// same scenario generation and service options as the tool's defaults,
+// a checkpoint every 25 consumed events, a crash right after the one at
+// event 100, a fresh process restored from it (at a different worker
+// count) finishing the trace, and the final checkpoint compared byte
+// for byte with the uninterrupted run's. The 20-query pool makes the
+// trace revisit the same queries — and so the same solve structures —
+// over and over, and the 20-node budget makes every solve stop on
+// whichever incumbent it has: any solver state carried from one round
+// to the next that the checkpoint does not hold (a remembered LP basis,
+// pooled cuts, a skipped heuristic) shows up here as a different plan.
+class ServiceKillRestoreTest : public ::testing::TestWithParam<uint64_t> {};
+
+struct CliScenario {
+  std::unique_ptr<Cluster> cluster;
+  std::unique_ptr<Catalog> catalog;
+  std::vector<Event> trace;
+};
+
+CliScenario MakeCliScenario(uint64_t seed) {
+  CliScenario s;
+  s.cluster = std::make_unique<Cluster>(3, HostSpec{0.8, 70.0, 70.0, ""},
+                                        140.0);
+  s.catalog = std::make_unique<Catalog>(CostModel{});
+  WorkloadConfig wc;
+  wc.num_base_streams = 48;
+  wc.base_rate_mbps = 10.0;
+  wc.zipf_s = 1.0;
+  wc.arities = {2, 3};
+  wc.num_queries = 20;
+  wc.seed = seed;
+  Result<Workload> workload = GenerateWorkload(wc, 3, s.catalog.get());
+  EXPECT_TRUE(workload.ok()) << workload.status().ToString();
+  TraceConfig tc;
+  tc.num_events = 300;
+  tc.seed = seed;
+  Result<std::vector<Event>> trace =
+      GenerateTrace(tc, *workload, 3, *s.catalog);
+  EXPECT_TRUE(trace.ok()) << trace.status().ToString();
+  s.trace = std::move(*trace);
+  return s;
+}
+
+ServiceOptions CliOptions(uint64_t seed, int workers) {
+  ServiceOptions options;
+  options.planner.timeout_ms = 60000;
+  options.planner.max_nodes = 20;
+  options.replan.workers = workers;
+  options.replan.clamp_workers_to_cores = false;
+  options.telemetry.seed = seed;
+  return options;
+}
+
+TEST_P(ServiceKillRestoreTest, RestoredDrillMatchesUninterruptedBytes) {
+  const uint64_t seed = GetParam();
+  constexpr int kCheckpointEvery = 25;
+  constexpr int kCrashAfter = 100;
+
+  // Replays `s.trace` from event `from` on, checkpointing on the
+  // consumed-event cadence; returns the checkpoint taken at kCrashAfter
+  // (if reached) and the final one.
+  const auto finish = [&](PlanningService* service, const CliScenario& s,
+                          size_t from, std::string* at_crash) {
+    for (size_t i = from; i < s.trace.size(); ++i) {
+      EXPECT_TRUE(service->Enqueue(s.trace[i]).ok());
+    }
+    while (service->HasPendingEvents()) {
+      const Result<EventOutcome> outcome = service->Step();
+      EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+      if (!outcome.ok()) return std::string();
+      if (service->stats().events % kCheckpointEvery == 0) {
+        const Result<std::string> ck = service->ExportCheckpoint();
+        EXPECT_TRUE(ck.ok()) << ck.status().ToString();
+        if (at_crash != nullptr && service->stats().events == kCrashAfter) {
+          *at_crash = *ck;
+        }
+      }
+    }
+    service->FinishInFlightRound();
+    const Result<std::string> fin = service->ExportCheckpoint();
+    EXPECT_TRUE(fin.ok()) << fin.status().ToString();
+    return fin.ok() ? *fin : std::string();
+  };
+
+  std::string checkpoint;
+  std::string uninterrupted;
+  {
+    CliScenario s = MakeCliScenario(seed);
+    ASSERT_GT(s.trace.size(), static_cast<size_t>(kCrashAfter));
+    PlanningService service(s.cluster.get(), s.catalog.get(),
+                            CliOptions(seed, /*workers=*/0));
+    uninterrupted = finish(&service, s, 0, &checkpoint);
+  }
+  ASSERT_FALSE(checkpoint.empty()) << "seed " << seed;
+
+  CliScenario s = MakeCliScenario(seed);
+  PlanningService restored(s.cluster.get(), s.catalog.get(),
+                           CliOptions(seed, /*workers=*/2));
+  const Status ok = restored.RestoreCheckpoint(checkpoint);
+  ASSERT_TRUE(ok.ok()) << ok.ToString() << ", seed " << seed;
+  ASSERT_EQ(restored.stats().events, kCrashAfter);
+  const std::string resumed = finish(&restored, s, kCrashAfter, nullptr);
+  EXPECT_TRUE(resumed == uninterrupted)
+      << "seed " << seed << ": the run restored at event " << kCrashAfter
+      << " ends in a different checkpoint than the uninterrupted run";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ServiceKillRestoreTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{13}));
+
 // Golden digests of checkpointed replays: FNV-1a over the final
 // deployment fingerprint, the canonical audit journal and the final
 // checkpoint bytes of a 120-event replay that also exports a checkpoint

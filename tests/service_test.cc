@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "model/catalog.h"
 #include "model/cluster.h"
 #include "service/event_loop.h"
@@ -1211,6 +1214,157 @@ TEST(TraceTest, SaveLoadRoundTripsRateDirectives) {
     EXPECT_EQ(got.max_factor, want.max_factor);
     EXPECT_EQ(got.amplitude, want.amplitude);
     EXPECT_EQ(got.phase, want.phase);
+  }
+}
+
+// Seeded mutation fuzzing of the trace reader: a SaveTrace corpus with
+// every event kind is mangled by byte flips, truncation, token drops and
+// hostile monitor counts (-1, 2^64-1, more entries than the line holds).
+// Every load must come back OK or InvalidArgument naming the line —
+// never an abort, an exception or another status.
+TEST(TraceTest, MutatedTracesLoadOrFailWithLineNumber) {
+  std::vector<Event> events;
+  events.push_back(Event::Arrival(10, 3));
+  events.push_back(Event::Departure(20, 3));
+  events.push_back(Event::HostFailure(30, 1));
+  events.push_back(Event::HostJoin(45, 1));
+  events.push_back(
+      Event::MonitorReport(50, {{0, 12.5}, {2, 0.25}}, {0.5, 1.25, 0.75}));
+  events.push_back(Event::Tick(60));
+  RateTrajectory walk;
+  walk.kind = RateTrajectory::Kind::kRandomWalk;
+  walk.stream = 6;
+  walk.base_rate_mbps = 8.0;
+  walk.period_ms = 120;
+  walk.volatility = 0.25;
+  walk.min_factor = 0.5;
+  walk.max_factor = 3.0;
+  events.push_back(Event::RateDirective(70, walk));
+  events.push_back(Event::MonitorReport(80, {{1, 3.0}}, {}));
+
+  const std::string path = ::testing::TempDir() + "/sqpr_trace_fuzz.txt";
+  ASSERT_TRUE(SaveTrace(events, path).ok());
+  std::string corpus;
+  {
+    std::ifstream in(path);
+    corpus.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(corpus.empty());
+
+  const auto load = [&](const std::string& content) {
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << content;
+    }
+    return LoadTrace(path);
+  };
+  const auto check = [&](const std::string& content) {
+    const Result<std::vector<Event>> r = load(content);
+    if (r.ok()) return;
+    const std::string msg = r.status().ToString();
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << msg << "\n" << content;
+    const size_t at = msg.find(path + ":");
+    ASSERT_NE(at, std::string::npos) << msg;
+    const size_t digit = at + path.size() + 1;
+    EXPECT_TRUE(digit < msg.size() && std::isdigit(static_cast<unsigned char>(
+                                          msg[digit])))
+        << "no line number in: " << msg;
+  };
+
+  // The two hostile counts that once escaped as std::length_error.
+  for (const char* line : {"0 monitor 0 cpu -1\n",
+                           "0 monitor 0 cpu 18446744073709551615\n",
+                           "0 monitor -1\n",
+                           "0 monitor 18446744073709551615\n"}) {
+    const Result<std::vector<Event>> r = load(line);
+    ASSERT_FALSE(r.ok()) << line;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+    EXPECT_NE(r.status().ToString().find(":1:"), std::string::npos)
+        << r.status().ToString();
+  }
+
+  const auto split_tokens = [](const std::string& text) {
+    // Tokens with their separators kept, so a dropped token leaves the
+    // rest of the line structure intact.
+    std::vector<std::string> tokens;
+    std::string cur;
+    for (char c : text) {
+      if (c == ' ' || c == '\n') {
+        if (!cur.empty()) tokens.push_back(cur);
+        tokens.push_back(std::string(1, c));
+        cur.clear();
+      } else {
+        cur += c;
+      }
+    }
+    if (!cur.empty()) tokens.push_back(cur);
+    return tokens;
+  };
+  const auto join = [](const std::vector<std::string>& tokens) {
+    std::string out;
+    for (const std::string& t : tokens) out += t;
+    return out;
+  };
+  const char kAlphabet[] = "0123456789-. \nxe+cpumonitr#";
+
+  Rng rng(0x7ace);
+  for (int iter = 0; iter < 1500; ++iter) {
+    std::string text = corpus;
+    const int mutations = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int m = 0; m < mutations && !text.empty(); ++m) {
+      switch (rng.NextBounded(4)) {
+        case 0: {  // byte flip
+          const size_t at = rng.NextBounded(text.size());
+          text[at] = kAlphabet[rng.NextBounded(sizeof(kAlphabet) - 1)];
+          break;
+        }
+        case 1:  // truncation
+          text.resize(rng.NextBounded(text.size() + 1));
+          break;
+        case 2: {  // token drop
+          std::vector<std::string> tokens = split_tokens(text);
+          tokens.erase(tokens.begin() +
+                       static_cast<long>(rng.NextBounded(tokens.size())));
+          text = join(tokens);
+          break;
+        }
+        default: {  // hostile count on a monitor line
+          std::vector<std::string> tokens = split_tokens(text);
+          std::vector<size_t> counts;  // rate or cpu count positions
+          for (size_t i = 0; i + 2 < tokens.size(); ++i) {
+            if ((tokens[i] == "monitor" || tokens[i] == "cpu") &&
+                tokens[i + 1] == " ") {
+              counts.push_back(i + 2);
+            }
+          }
+          if (counts.empty()) break;
+          const size_t at = counts[rng.NextBounded(counts.size())];
+          // Tokens left on the line after the count.
+          int present = 0;
+          for (size_t i = at + 1; i < tokens.size() && tokens[i] != "\n";
+               ++i) {
+            present += tokens[i] != " ";
+          }
+          switch (rng.NextBounded(3)) {
+            case 0:
+              tokens[at] = "-1";
+              break;
+            case 1:
+              tokens[at] = "18446744073709551615";
+              break;
+            default:
+              tokens[at] = std::to_string(
+                  present + 1 + static_cast<int>(rng.NextBounded(3)));
+              break;
+          }
+          text = join(tokens);
+          break;
+        }
+      }
+    }
+    check(text);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

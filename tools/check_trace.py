@@ -18,14 +18,9 @@ Checks (all fatal):
   * Span names are '/'-separated taxonomy paths whose first segment
     matches the event's cat.
   * Re-planning-round attribution: a round runs from its
-    service/round.dispatch start to the end of the span that retires it
-    — service/round.commit at its pinned commit point, or
-    service/round.unwind when a barrier retired a speculative round
-    early (traces recorded while the service still kept several rounds
-    in flight, like the committed TRACE_drift_w4.json.gz, overlap
-    rounds and contain unwinds). Spans are matched by their "round" id
-    arg, falling back to positional dispatch/commit pairing for traces
-    predating the arg.
+    service/round.dispatch start to the end of its service/round.commit
+    span; the two are matched by their integer "round" id arg, which
+    every dispatch and commit span must carry.
     The union of all named spans across all threads, clipped to the
     round's window, must cover >= --min-round-coverage of it: "explain
     every millisecond" is gated here, not eyeballed in Perfetto.
@@ -163,9 +158,7 @@ def main():
             fail(f"span {name}: tid {tid} has no thread_name metadata")
 
     # --- re-planning-round attribution ---------------------------------
-    # Rounds may overlap in older traces, so dispatches are matched to
-    # the span that retires the round — commit (the pinned commit point)
-    # or unwind (a barrier retired it early) — by the "round" id arg.
+    # Each dispatch is matched to its commit by the "round" id arg.
     def spans_named(span_name):
         return [
             (a.get("round"), s, e)
@@ -174,58 +167,38 @@ def main():
         ]
 
     dispatches = spans_named("service/round.dispatch")
-    retires = spans_named("service/round.commit") + spans_named(
-        "service/round.unwind"
-    )
+    commits = spans_named("service/round.commit")
     if args.require_rounds and not dispatches:
         fail("trace contains no service/round.dispatch spans")
+    for r, _, _ in dispatches + commits:
+        if not isinstance(r, int):
+            fail(f"round span without an integer 'round' arg: {r!r}")
 
-    pairs = []  # (round key, dispatch start, retire start, retire end)
-    if all(isinstance(r, int) for r, _, _ in dispatches + retires):
-        retire_by_id = {r: (s, e) for r, s, e in retires}
-        if len(retire_by_id) != len(retires):
-            fail("duplicate round ids among commit/unwind spans")
-        unmatched = len(retires) - sum(
-            1 for r, _, _ in dispatches if r in retire_by_id
+    commit_by_id = {r: (s, e) for r, s, e in commits}
+    if len(commit_by_id) != len(commits):
+        fail("duplicate round ids among commit spans")
+    pairs = []  # (round id, dispatch start, commit start, commit end)
+    for r, d_start, _ in dispatches:
+        if r not in commit_by_id:
+            # The ring dropped this round's commit span (rounds in flight
+            # at the end commit via FinishInFlightRound, so absence means
+            # overwrite, not leakage).
+            continue
+        pairs.append((r, d_start) + commit_by_id[r])
+    dropped = len(dispatches) - len(pairs)
+    unmatched = len(commits) - len(pairs)
+    if dropped or unmatched:
+        print(
+            f"check_trace: note: {dropped} dispatches and {unmatched} "
+            f"commits retained without their pair; checking {len(pairs)} "
+            f"complete rounds"
         )
-        for r, d_start, _ in dispatches:
-            if r not in retire_by_id:
-                # The ring dropped this round's retire span (rounds in
-                # flight at the end retire via FinishInFlightRound, so
-                # absence means overwrite, not leakage).
-                continue
-            pairs.append((r, d_start) + retire_by_id[r])
-        dropped = len(dispatches) - len(pairs)
-        if dropped or unmatched:
-            print(
-                f"check_trace: note: {dropped} dispatches and "
-                f"{unmatched} commits/unwinds retained without their "
-                f"pair; checking {len(pairs)} complete rounds"
-            )
-    else:
-        # Trace predates the round-id arg: at most one round was in
-        # flight, so commit k follows dispatch k in time.
-        old_dispatches = sorted((s, e) for _, s, e in dispatches)
-        old_commits = sorted(
-            (s, e) for r, s, e in spans_named("service/round.commit")
-        )
-        if len(old_dispatches) != len(old_commits):
-            n = min(len(old_dispatches), len(old_commits))
-            print(
-                f"check_trace: note: {len(old_dispatches)} dispatches vs "
-                f"{len(old_commits)} commits retained; checking {n} pairs"
-            )
-            old_dispatches, old_commits = old_dispatches[-n:], old_commits[-n:]
-        pairs = [
-            (k, d[0], c[0], c[1])
-            for k, (d, c) in enumerate(zip(old_dispatches, old_commits))
-        ]
 
     intervals = [(s, e) for _, _, s, e, _ in spans]
     worst = None
     for k, d_start, r_start, r_end in pairs:
         if r_end <= d_start or r_start < d_start:
-            fail(f"round {k}: commit/unwind does not follow its dispatch")
+            fail(f"round {k}: commit does not follow its dispatch")
         window = r_end - d_start
         if window <= 0:
             continue

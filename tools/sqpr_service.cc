@@ -88,9 +88,9 @@ void Usage(std::FILE* out) {
       "\n"
       "Replays a service event trace (generated or loaded) through the\n"
       "continuous SQPR planning service and reports latency, admission,\n"
-      "re-planning, plan-cache and incremental-solve statistics (model\n"
-      "patches vs rebuilds of the cached MILP skeleton, root-basis warm\n"
-      "starts vs stale-basis discards).\n"
+      "re-planning and plan-cache statistics. Every MILP solve builds its\n"
+      "model from the committed deployment alone, so a run restored from\n"
+      "a checkpoint decides exactly as an uninterrupted one.\n"
       "\n"
       "Scenario flags (synthetic cluster + workload):\n"
       "  --hosts N        cluster size (default 6, min 2)\n"
@@ -848,12 +848,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.cache_delta_updates),
               static_cast<long long>(cache.rebuilds()),
               static_cast<long long>(cache.noop_skips()));
-  std::printf("incremental solves: %lld model patches, %lld rebuilds, "
-              "%lld warm starts, %lld stale bases discarded\n",
-              static_cast<long long>(stats.model_patches),
-              static_cast<long long>(stats.model_rebuilds),
-              static_cast<long long>(stats.warm_starts),
-              static_cast<long long>(stats.basis_discards));
 
   const Deployment& dep = service.deployment();
   std::printf("\nfinal deployment: %zu queries served, %d operators, "
