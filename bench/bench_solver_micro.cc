@@ -1,9 +1,10 @@
 // Solver micro-bench: one node-bounded branch-and-bound search over a
 // grounded SQPR model, as machine-readable numbers (the
 // BENCH_solver_micro.json trajectory) — time per node and per simplex
-// pivot, plus the machine-independent LP work (total pivots, pivots and
-// fresh basis factorizations per node), the cost of the per-search LP
-// engine.
+// pivot, plus the machine-independent LP work (total pivots, pivots,
+// dual simplex pivots and fresh basis factorizations per node), the cost
+// of the per-search LP engine, and the share of incumbents the root
+// rounding dive supplied.
 //
 // Shape checks gate the LP engine's factorization reuse, not speed.
 // Absolute timings land in the JSON for the checked-in baseline diff; CI
@@ -106,6 +107,10 @@ int BenchNodeThroughput(Fixture* f, bench::BenchJsonWriter* json) {
       1000.0 * total_ms / kRepeats / std::max(pivots, 1.0);
   const double refactor_per_solve =
       static_cast<double>(r.lp_refactorizations) / lp_solves;
+  const double dive_incumbent_share =
+      r.incumbents > 0 ? static_cast<double>(r.dive_incumbents) /
+                             static_cast<double>(r.incumbents)
+                       : 0.0;
 
   if (!bench::ShapeCheck(r.lp_factor_reuses > 0,
                          "LP re-solves reuse the kept factorization")) {
@@ -117,11 +122,14 @@ int BenchNodeThroughput(Fixture* f, bench::BenchJsonWriter* json) {
   }
 
   std::printf(
-      "node throughput %7.1f us/node   %.2f us/pivot   %.1f pivots/node   "
-      "%.2f refactorizations/node   %.2f per LP solve   (%lld nodes)\n",
+      "node throughput %7.1f us/node   %.2f us/pivot   %.1f pivots/node "
+      "(%.1f dual)   %.2f refactorizations/node   %.2f per LP solve   "
+      "dive supplied %lld of %lld incumbents   (%lld nodes)\n",
       us_per_node, us_per_pivot, pivots / nodes,
+      static_cast<double>(r.lp_dual_pivots) / nodes,
       static_cast<double>(r.lp_refactorizations) / nodes,
-      refactor_per_solve, static_cast<long long>(r.nodes));
+      refactor_per_solve, static_cast<long long>(r.dive_incumbents),
+      static_cast<long long>(r.incumbents), static_cast<long long>(r.nodes));
   bench::BenchRecord& rec = json->Add("node_throughput");
   rec.labels["max_nodes"] = std::to_string(kMaxNodes);
   rec.metrics["nodes"] = static_cast<double>(r.nodes);
@@ -133,6 +141,9 @@ int BenchNodeThroughput(Fixture* f, bench::BenchJsonWriter* json) {
       static_cast<double>(r.lp_refactorizations) / nodes;
   rec.metrics["lp_solves_per_node"] = lp_solves / nodes;
   rec.metrics["refactorizations_per_lp_solve"] = refactor_per_solve;
+  rec.metrics["dual_pivots_per_node"] =
+      static_cast<double>(r.lp_dual_pivots) / nodes;
+  rec.metrics["dive_incumbent_share"] = dive_incumbent_share;
   return failed;
 }
 

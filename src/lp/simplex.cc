@@ -12,6 +12,11 @@ namespace lp {
 namespace {
 
 constexpr double kPivotTol = 1e-9;
+// A kept inverse is brought to a start basis by product-form column
+// exchanges only when they differ in at most this many columns, each
+// pivoting on at least kExchangeTol; otherwise it is refactorized.
+constexpr int kMaxExchanges = 12;
+constexpr double kExchangeTol = 1e-6;
 
 /// Internal standard-form workspace:
 ///   columns 0..n-1    structural variables
@@ -36,7 +41,6 @@ struct Tableau {
   std::vector<BasisState> state;   // per column
   std::vector<double> value;       // per column current value
   std::vector<int> basis;          // basis[i] = column basic in row i
-  std::vector<int> basic_pos;      // basic_pos[col] = row position or -1
 
   std::vector<double> binv;  // m*m column-major: binv[c*m + i]
 
@@ -70,28 +74,66 @@ class SimplexSolver::Engine {
   void InstallBasis(const std::vector<BasisState>* warm);
   void SetSlackStates();
   void InstallSlackBasis();
-  // Makes `basis` (size m) the live basis and records its positions.
-  void SetBasis(const std::vector<int>& basis);
   // Reuses the kept inverse for the basic set target_ when it covers
-  // the same set minus trailing new-row slacks: borders it with the
-  // appended rows and permutes its positions into target_ order, in
-  // place. Returns false when the sets differ.
+  // the same set minus trailing new-row slacks, after ExchangeColumns:
+  // borders it with the appended rows and permutes its positions into
+  // target_ order, in place. Returns false when the sets differ.
   bool ReuseFactor();
+  // Brings the basic set of the kept inverse (old_m rows) to target_'s
+  // over the old rows by product-form column exchanges, when they
+  // differ in at most kMaxExchanges columns — e.g. a sibling node
+  // started from the parent basis after its twin moved the kept one.
+  // Returns false, leaving it to a refactorization, when they differ
+  // more or a pivot is too small.
+  bool ExchangeColumns(int old_m);
+  // Product-form update of the dim x dim inverse for the column w_
+  // (nonzero positions w_nz_) replacing the one at position pos.
+  void UpdateInverse(int pos, int dim);
   // Rebuilds the dense basis inverse. Returns false when singular.
   bool Refactorize();
   void RecomputeBasicValues();
   double NonbasicValue(int c) const;
-  // Total primal infeasibility of basic variables.
+  // Largest primal infeasibility of a basic variable.
   double Infeasibility() const;
-  // One simplex iteration. phase1 selects the composite infeasibility
-  // objective. Returns: 0 = no improving column, 1 = pivoted,
-  // 2 = unbounded direction, 3 = singular refactorisation.
+  // One primal simplex iteration. phase1 selects the composite
+  // infeasibility objective. Returns: 0 = no improving column,
+  // 1 = pivoted, 2 = unbounded direction, 3 = singular refactorisation.
   int Iterate(bool phase1, bool bland);
-  // w_ = B^-1 * column col; w_nz_ = its nonzero positions, ascending.
-  void Ftran(int col);
+  // One dual simplex iteration from a dual-feasible basis whose reduced
+  // costs d_ are current. Returns: 0 = primal feasible (optimal),
+  // 1 = pivoted, 2 = dual unbounded (the LP is infeasible),
+  // 3 = singular refactorisation, 4 = hand over to the primal loop.
+  int DualIterate();
+  // Runs DualIterate from the starting basis when it is primal
+  // infeasible and dual feasible, at most a bounded number of pivots.
+  // Returns the last DualIterate code, or -1 when the dual phase did
+  // not run or stopped at a limit.
+  int DualPhase();
+  // Swaps `enter` (value enter_val) into basis position leave_pos; the
+  // leaving column rests on the bound leave_to_upper selects. Updates
+  // the inverse in product form with w_ = B^-1 a_enter and refactorizes
+  // every refactor_interval pivots. Returns 1, or 3 when singular.
+  int Pivot(int enter, double enter_val, int leave_pos, int leave_to_upper);
+  // Falls back to the always-regular slack basis after numerical
+  // trouble. Returns false once the solve has reset too often.
+  bool ResetToSlackBasis(int* resets);
+  // w_ = B^-1 * column col for the dim x dim inverse over the first dim
+  // rows (the kept inverse before appended rows border it, or the live
+  // one); w_nz_ = its nonzero positions, ascending.
+  void Ftran(int col, int dim);
+  // cb_: the composite phase-1 gradient (phase1) or the phase-2 costs of
+  // the basic columns, by basis position; cb_nz_ its nonzero positions.
+  void BasicCosts(bool phase1);
   // y_ = cb_^T B^-1: the duals of the basic cost vector cb_ (indexed by
   // basis position), summed over its nonzero positions cb_nz_ only.
   void ComputeDuals();
+  // c - y^T a of column c against y_ (phase 1 prices zero column costs).
+  double ReducedCost(int c, bool phase1) const;
+  // d_ = phase-2 reduced costs of every nonbasic column, from scratch.
+  void ComputeReducedCosts();
+  // d_[c] of nonbasic column c, signed so that dual feasibility reads
+  // >= 0: as is at the lower bound, negated at the upper, -|d| if free.
+  double SignedReducedCost(int c) const;
 
   SimplexResult Finish(SolveStatus status);
 
@@ -106,6 +148,7 @@ class SimplexSolver::Engine {
   int64_t max_iterations_ = 0;
   int64_t refactorizations_ = 0;
   int64_t factor_reuses_ = 0;
+  int64_t dual_pivots_ = 0;
   int pivots_since_refactor_ = 0;
   // Product-form updates this solve made on top of the inverse it
   // started from (or its last refactorization); keys the polish.
@@ -134,6 +177,23 @@ class SimplexSolver::Engine {
   std::vector<double> q_, cb_, y_, w_;
   std::vector<int> cb_nz_, w_nz_, nz_;
   std::vector<RowLimit> limits_;
+
+  // Dual ratio-test candidate: a nonbasic column whose move pushes the
+  // leaving basic variable towards its violated bound.
+  struct DualCandidate {
+    int col;
+    double abs_alpha;  // |pivot-row entry|
+    double ratio;      // dual step at which its reduced cost reaches 0
+  };
+  // Dual phase state: reduced costs (per column, valid for nonbasic
+  // ones), row r of B^-1, the pivot row over the columns alpha_cols_,
+  // the ratio-test candidates and the columns a bound flip moves.
+  std::vector<double> d_, rho_, alpha_;
+  std::vector<int> alpha_cols_, flips_;
+  // Column exchanges: per-column membership marks, entering columns.
+  std::vector<uint8_t> mark_;
+  std::vector<int> entering_;
+  std::vector<DualCandidate> cands_;
 };
 
 void SimplexSolver::Engine::SyncModel(const Model& model) {
@@ -149,7 +209,6 @@ void SimplexSolver::Engine::SyncModel(const Model& model) {
     BuildColumns();
     t_.state.resize(n + m, BasisState::kAtLower);
     t_.value.resize(n + m, 0.0);
-    t_.basic_pos.assign(n + m, -1);
     col_pos_.assign(n + m, -1);
   }
 
@@ -237,19 +296,11 @@ void SimplexSolver::Engine::SetSlackStates() {
   for (int i = 0; i < t_.m; ++i) t_.state[n + i] = BasisState::kBasic;
 }
 
-void SimplexSolver::Engine::SetBasis(const std::vector<int>& basis) {
-  for (int col : t_.basis) {
-    if (col < t_.n_total) t_.basic_pos[col] = -1;
-  }
-  t_.basis = basis;
-  for (int i = 0; i < t_.m; ++i) t_.basic_pos[t_.basis[i]] = i;
-}
-
 void SimplexSolver::Engine::InstallSlackBasis() {
   SetSlackStates();
   target_.resize(t_.m);
   for (int i = 0; i < t_.m; ++i) target_[i] = t_.n_struct + i;
-  SetBasis(target_);
+  t_.basis = target_;
 }
 
 void SimplexSolver::Engine::InstallBasis(
@@ -296,7 +347,7 @@ void SimplexSolver::Engine::InstallBasis(
   if (ReuseFactor()) {
     ++factor_reuses_;
   } else {
-    SetBasis(target_);
+    t_.basis = target_;
     if (!Refactorize()) {
       // Singular warm basis: fall back to the always-regular slack basis.
       InstallSlackBasis();
@@ -312,6 +363,7 @@ bool SimplexSolver::Engine::ReuseFactor() {
   const int m = t_.m;
   const int old_m = factor_m_;
   if (old_m < 0 || old_m > m) return false;
+  if (!ExchangeColumns(old_m)) return false;
   // Same basic set: every target column of an old row must be basic in
   // the kept inverse; the remaining target columns are new-row slacks.
   for (int i = 0; i < old_m; ++i) col_pos_[t_.basis[i]] = i;
@@ -370,9 +422,67 @@ bool SimplexSolver::Engine::ReuseFactor() {
     double* out = t_.binv.data() + static_cast<size_t>(c) * m;
     for (int p = 0; p < m; ++p) out[p] = target_[p] == n + c ? -1.0 : 0.0;
   }
-  SetBasis(target_);
+  t_.basis = target_;
   factor_m_ = m;
   return true;
+}
+
+bool SimplexSolver::Engine::ExchangeColumns(int old_m) {
+  const int old_total = t_.n_struct + old_m;
+  // mark_: 1 = in the target's old-row part, 2 = in the kept basis.
+  mark_.assign(old_total, 0);
+  int target_old = 0;
+  for (int col : target_) {
+    if (col >= old_total) continue;
+    mark_[col] = 1;
+    ++target_old;
+  }
+  if (target_old != old_m) return false;
+  for (int i = 0; i < old_m; ++i) mark_[t_.basis[i]] |= 2;
+  entering_.clear();
+  for (int col : target_) {
+    if (col < old_total && mark_[col] == 1) entering_.push_back(col);
+  }
+  if (entering_.empty()) return true;
+  if (static_cast<int>(entering_.size()) > kMaxExchanges ||
+      pivots_since_refactor_ + static_cast<int>(entering_.size()) >=
+          options_.refactor_interval) {
+    return false;
+  }
+  factor_m_ = -1;  // stale until every exchange went through
+  for (int col : entering_) {
+    // The leaving position is the dropped column with the largest |w|.
+    Ftran(col, old_m);
+    int pos = -1;
+    double best = kExchangeTol;
+    for (int i : w_nz_) {
+      if (mark_[t_.basis[i]] == 2 && std::abs(w_[i]) > best) {
+        best = std::abs(w_[i]);
+        pos = i;
+      }
+    }
+    if (pos < 0) return false;
+    UpdateInverse(pos, old_m);
+    mark_[t_.basis[pos]] = 0;
+    t_.basis[pos] = col;
+  }
+  pivots_since_refactor_ += static_cast<int>(entering_.size());
+  solve_updates_ += static_cast<int>(entering_.size());
+  factor_m_ = old_m;
+  return true;
+}
+
+void SimplexSolver::Engine::UpdateInverse(int pos, int dim) {
+  // Besides the pivot row, only the rows where w is nonzero change.
+  const double piv = w_[pos];
+  w_nz_.erase(std::find(w_nz_.begin(), w_nz_.end(), pos));
+  for (int c = 0; c < dim; ++c) {
+    double* bcol = t_.binv.data() + static_cast<size_t>(c) * dim;
+    const double pr = bcol[pos] / piv;
+    if (pr == 0.0) continue;
+    for (int i : w_nz_) bcol[i] -= w_[i] * pr;
+    bcol[pos] = pr;
+  }
 }
 
 bool SimplexSolver::Engine::Refactorize() {
@@ -470,28 +580,32 @@ void SimplexSolver::Engine::RecomputeBasicValues() {
 }
 
 double SimplexSolver::Engine::Infeasibility() const {
-  double total = 0.0;
+  // The largest violation, not their sum: phase 1 charges only variables
+  // beyond feas_tol_, so a sum of sub-tolerance violations above
+  // feas_tol_ would send a feasible basis to a phase 1 with nothing to
+  // price and report it infeasible.
+  double worst = 0.0;
   for (int i = 0; i < t_.m; ++i) {
     const int c = t_.basis[i];
-    if (t_.value[c] > t_.ub[c]) total += t_.value[c] - t_.ub[c];
-    if (t_.value[c] < t_.lb[c]) total += t_.lb[c] - t_.value[c];
+    worst = std::max(worst, t_.value[c] - t_.ub[c]);
+    worst = std::max(worst, t_.lb[c] - t_.value[c]);
   }
-  return total;
+  return worst;
 }
 
-void SimplexSolver::Engine::Ftran(int col) {
-  const int m = t_.m;
-  w_.assign(m, 0.0);
+void SimplexSolver::Engine::Ftran(int col, int dim) {
+  w_.assign(dim, 0.0);
   const int* rows;
   const double* vals;
   const int cnt = t_.ColEntries(col, &rows, &vals);
   for (int k = 0; k < cnt; ++k) {
+    if (rows[k] >= dim) continue;
     const double a = vals[k];
-    const double* bcol = t_.binv.data() + static_cast<size_t>(rows[k]) * m;
-    for (int i = 0; i < m; ++i) w_[i] += a * bcol[i];
+    const double* bcol = t_.binv.data() + static_cast<size_t>(rows[k]) * dim;
+    for (int i = 0; i < dim; ++i) w_[i] += a * bcol[i];
   }
   w_nz_.clear();
-  for (int i = 0; i < m; ++i) {
+  for (int i = 0; i < dim; ++i) {
     if (w_[i] != 0.0) w_nz_.push_back(i);
   }
 }
@@ -507,11 +621,9 @@ void SimplexSolver::Engine::ComputeDuals() {
   }
 }
 
-int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
+void SimplexSolver::Engine::BasicCosts(bool phase1) {
+  // The composite phase-1 gradient is +1 above ub, -1 below lb.
   const int m = t_.m;
-
-  // Basic cost vector: the composite phase-1 gradient (+1 above ub, -1
-  // below lb) or the phase-2 objective restricted to the basis.
   cb_.resize(m);
   cb_nz_.clear();
   for (int i = 0; i < m; ++i) {
@@ -529,6 +641,39 @@ int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
     cb_[i] = cost;
     if (cost != 0.0) cb_nz_.push_back(i);
   }
+}
+
+double SimplexSolver::Engine::ReducedCost(int c, bool phase1) const {
+  const int* rows;
+  const double* vals;
+  const int cnt = t_.ColEntries(c, &rows, &vals);
+  double dot = 0.0;
+  for (int k = 0; k < cnt; ++k) dot += y_[rows[k]] * vals[k];
+  return (phase1 ? 0.0 : t_.cost[c]) - dot;
+}
+
+void SimplexSolver::Engine::ComputeReducedCosts() {
+  BasicCosts(false);
+  ComputeDuals();
+  d_.assign(t_.n_total, 0.0);
+  for (int c = 0; c < t_.n_total; ++c) {
+    if (t_.state[c] != BasisState::kBasic) d_[c] = ReducedCost(c, false);
+  }
+}
+
+double SimplexSolver::Engine::SignedReducedCost(int c) const {
+  switch (t_.state[c]) {
+    case BasisState::kAtLower:
+      return d_[c];
+    case BasisState::kAtUpper:
+      return -d_[c];
+    default:
+      return -std::abs(d_[c]);
+  }
+}
+
+int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
+  BasicCosts(phase1);
   ComputeDuals();
 
   // Pricing: each nonbasic column's reduced cost is formed as the scan
@@ -541,12 +686,7 @@ int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
     const BasisState st = t_.state[c];
     if (st == BasisState::kBasic) continue;
     if (t_.lb[c] == t_.ub[c]) continue;
-    const int* rows;
-    const double* vals;
-    const int cnt = t_.ColEntries(c, &rows, &vals);
-    double dot = 0.0;
-    for (int k = 0; k < cnt; ++k) dot += y_[rows[k]] * vals[k];
-    const double d = (phase1 ? 0.0 : t_.cost[c]) - dot;
+    const double d = ReducedCost(c, phase1);
     int dir = 0;
     if (st == BasisState::kAtLower && d < -opt_tol_) {
       dir = +1;
@@ -569,7 +709,7 @@ int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
   }
   if (enter < 0) return 0;  // no improving column for this phase
 
-  Ftran(enter);
+  Ftran(enter, t_.m);
   const std::vector<double>& w = w_;
 
   // Two-pass (Harris-style) ratio test. Out-of-bounds basic variables
@@ -663,32 +803,25 @@ int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
     return 1;
   }
 
+  return Pivot(enter, enter_val, leave_pos, leave_to_upper);
+}
+
+int SimplexSolver::Engine::Pivot(int enter, double enter_val, int leave_pos,
+                                 int leave_to_upper) {
   const int leave_col = t_.basis[leave_pos];
   t_.state[leave_col] =
       leave_to_upper ? BasisState::kAtUpper : BasisState::kAtLower;
   t_.value[leave_col] = NonbasicValue(leave_col);
-  t_.basic_pos[leave_col] = -1;
 
   t_.basis[leave_pos] = enter;
   t_.state[enter] = BasisState::kBasic;
-  t_.basic_pos[enter] = leave_pos;
   t_.value[enter] = enter_val;
 
-  const double piv = w[leave_pos];
-  if (std::abs(piv) < kPivotTol / 10) {
+  if (std::abs(w_[leave_pos]) < kPivotTol / 10) {
     factor_m_ = -1;  // the basis moved on without its inverse
     return 3;
   }
-  // Product-form update of B^-1: besides the pivot row, only the rows
-  // where w is nonzero change.
-  w_nz_.erase(std::find(w_nz_.begin(), w_nz_.end(), leave_pos));
-  for (int c = 0; c < m; ++c) {
-    double* bcol = t_.binv.data() + static_cast<size_t>(c) * m;
-    const double pr = bcol[leave_pos] / piv;
-    if (pr == 0.0) continue;
-    for (int i : w_nz_) bcol[i] -= w[i] * pr;
-    bcol[leave_pos] = pr;
-  }
+  UpdateInverse(leave_pos, t_.m);
 
   ++solve_updates_;
   if (++pivots_since_refactor_ >= options_.refactor_interval) {
@@ -701,6 +834,200 @@ int SimplexSolver::Engine::Iterate(bool phase1, bool bland) {
   return 1;
 }
 
+int SimplexSolver::Engine::DualIterate() {
+  const int m = t_.m;
+
+  // Leaving row: the basic variable furthest outside its bounds; the
+  // first such position wins a tie. s = +1 when it must rise to its
+  // lower bound, -1 when it must fall to its upper bound.
+  int r = -1;
+  int s = 0;
+  double worst = feas_tol_;
+  for (int i = 0; i < m; ++i) {
+    const int c = t_.basis[i];
+    const double v = t_.value[c];
+    if (t_.lb[c] - v > worst) {
+      worst = t_.lb[c] - v;
+      r = i;
+      s = +1;
+    } else if (v - t_.ub[c] > worst) {
+      worst = v - t_.ub[c];
+      r = i;
+      s = -1;
+    }
+  }
+  if (r < 0) return 0;  // primal feasible: the basis is optimal
+  const int leave_col = t_.basis[r];
+  const double target = s > 0 ? t_.lb[leave_col] : t_.ub[leave_col];
+
+  // Pivot row alpha_j = (B^-1 a_j)_r over the movable nonbasic columns,
+  // read off row r of the kept inverse. Raising a column by one moves
+  // the leaving variable by -alpha_j, so a candidate is a column whose
+  // allowed direction dir satisfies s * dir * alpha_j < 0. Its ratio is
+  // the dual step at which its reduced cost changes sign.
+  rho_.resize(m);
+  for (int c = 0; c < m; ++c) {
+    rho_[c] = t_.binv[static_cast<size_t>(c) * m + r];
+  }
+  alpha_.resize(t_.n_total);
+  alpha_cols_.clear();
+  cands_.clear();
+  // What columns too small to pivot on could still move the leaving
+  // variable: a dual ray is only a proof when they cannot close the gap.
+  double reach = 0.0;
+  for (int c = 0; c < t_.n_total; ++c) {
+    const BasisState st = t_.state[c];
+    if (st == BasisState::kBasic) continue;
+    if (t_.lb[c] == t_.ub[c]) continue;
+    const double dd = SignedReducedCost(c);
+    if (dd < -2.0 * opt_tol_) return 4;  // lost dual feasibility
+    const int* rows;
+    const double* vals;
+    const int cnt = t_.ColEntries(c, &rows, &vals);
+    double alpha = 0.0;
+    for (int k = 0; k < cnt; ++k) alpha += rho_[rows[k]] * vals[k];
+    if (alpha == 0.0) continue;
+    alpha_[c] = alpha;
+    alpha_cols_.push_back(c);
+    const int dir = st == BasisState::kAtLower   ? +1
+                    : st == BasisState::kAtUpper ? -1
+                    : s * alpha < 0              ? +1
+                                                 : -1;
+    if (s * dir * alpha >= 0) continue;
+    if (std::abs(alpha) <= kPivotTol) {
+      reach += std::abs(alpha) * (t_.ub[c] - t_.lb[c]);
+      continue;
+    }
+    cands_.push_back({c, std::abs(alpha), std::max(dd, 0.0) / std::abs(alpha)});
+  }
+
+  // Harris two-pass ratio test with bound flipping. Pass one bounds the
+  // step by the tolerance-relaxed ratios; pass two takes the largest
+  // |alpha| among the candidates within that bound. When every column
+  // of that group is boxed and flipping them all to their other bounds
+  // still leaves the leaving variable infeasible, they flip instead of
+  // entering, and the test moves on to the next group.
+  double slope = worst;  // remaining primal infeasibility of the row
+  flips_.clear();
+  int enter = -1;
+  double enter_abs = 0.0;
+  while (enter < 0) {
+    if (cands_.empty()) {
+      // No column can move the leaving variable far enough: the row is a
+      // dual ray, unless sub-tolerance pivots might still close the gap.
+      return reach >= slope - feas_tol_ ? 4 : 2;
+    }
+    double bound = kInf;
+    for (const DualCandidate& cand : cands_) {
+      bound = std::min(bound, cand.ratio + opt_tol_ / cand.abs_alpha);
+    }
+    double drop = 0.0;
+    int pick = -1;
+    for (const DualCandidate& cand : cands_) {
+      if (cand.ratio > bound) continue;
+      drop += cand.abs_alpha * (t_.ub[cand.col] - t_.lb[cand.col]);
+      if (cand.abs_alpha > enter_abs) {
+        enter_abs = cand.abs_alpha;
+        pick = cand.col;
+      }
+    }
+    if (slope - drop > 0.0) {
+      for (const DualCandidate& cand : cands_) {
+        if (cand.ratio <= bound) flips_.push_back(cand.col);
+      }
+      cands_.erase(std::remove_if(cands_.begin(), cands_.end(),
+                                  [&](const DualCandidate& cand) {
+                                    return cand.ratio <= bound;
+                                  }),
+                   cands_.end());
+      slope -= drop;
+      enter_abs = 0.0;
+      continue;
+    }
+    enter = pick;
+  }
+  const double alpha_q = alpha_[enter];
+  if (enter_abs < 1e-7) return 4;  // tiny pivot
+  Ftran(enter, m);
+  if (std::abs(w_[r] - alpha_q) > 1e-9 * (1.0 + std::abs(alpha_q))) {
+    return 4;  // the pivot row and column disagree on the pivot
+  }
+
+  // Flipped columns move to their other bound; the basic values follow.
+  if (!flips_.empty()) {
+    q_.assign(m, 0.0);
+    for (int c : flips_) {
+      const double old_value = t_.value[c];
+      t_.state[c] = t_.state[c] == BasisState::kAtLower ? BasisState::kAtUpper
+                                                        : BasisState::kAtLower;
+      t_.value[c] = NonbasicValue(c);
+      const double delta = t_.value[c] - old_value;
+      const int* rows;
+      const double* vals;
+      const int cnt = t_.ColEntries(c, &rows, &vals);
+      for (int k = 0; k < cnt; ++k) q_[rows[k]] += vals[k] * delta;
+    }
+    for (int k = 0; k < m; ++k) {
+      if (q_[k] == 0.0) continue;
+      const double* bcol = t_.binv.data() + static_cast<size_t>(k) * m;
+      for (int i = 0; i < m; ++i) t_.value[t_.basis[i]] -= bcol[i] * q_[k];
+    }
+  }
+
+  // Primal step: the entering column moves until the leaving variable
+  // sits on its violated bound.
+  const double step = (t_.value[leave_col] - target) / w_[r];
+  for (int i : w_nz_) t_.value[t_.basis[i]] -= step * w_[i];
+  const double enter_val = t_.value[enter] + step;
+
+  // Dual step, in place: d_j -= theta * alpha_j. A reduced cost already
+  // past zero by less than opt_tol_ is taken as zero.
+  const double theta =
+      SignedReducedCost(enter) > 0.0 ? d_[enter] / alpha_q : 0.0;
+  for (int c : alpha_cols_) d_[c] -= theta * alpha_[c];
+  d_[enter] = 0.0;
+  d_[leave_col] = -theta;
+
+  const int pivoted = Pivot(enter, enter_val, r, s < 0 ? 1 : 0);
+  if (pivoted != 1) return pivoted;
+  ++dual_pivots_;
+  if (pivots_since_refactor_ == 0) ComputeReducedCosts();  // refactorized
+  return 1;
+}
+
+int SimplexSolver::Engine::DualPhase() {
+  if (Infeasibility() <= feas_tol_) return -1;
+  ComputeReducedCosts();
+  for (int c = 0; c < t_.n_total; ++c) {
+    if (t_.state[c] == BasisState::kBasic || t_.lb[c] == t_.ub[c]) continue;
+    if (SignedReducedCost(c) < -opt_tol_) return -1;
+  }
+  // A child of a small LP needs a handful of dual pivots; the cap only
+  // bounds a stalling or cycling dual, which the primal loop then takes
+  // over from wherever it stopped.
+  const int64_t cap = iterations_ + 2LL * t_.m + 50;
+  while (iterations_ < std::min(cap, max_iterations_)) {
+    if ((iterations_ & 0x3f) == 0 && options_.deadline.Expired()) break;
+    const int step = DualIterate();
+    if (step != 1) return step;
+    ++iterations_;
+  }
+  return -1;
+}
+
+bool SimplexSolver::Engine::ResetToSlackBasis(int* resets) {
+  if (++*resets > 4) {
+    SQPR_LOG_WARN << "simplex giving up after repeated singular bases";
+    return false;
+  }
+  InstallSlackBasis();
+  const bool ok = Refactorize();
+  SQPR_CHECK(ok) << "slack basis cannot be singular";
+  RecomputeBasicValues();
+  degenerate_run_ = 0;
+  return true;
+}
+
 SimplexResult SimplexSolver::Engine::Finish(SolveStatus status) {
   SimplexResult result;
   result.status = status;
@@ -710,6 +1037,7 @@ SimplexResult SimplexSolver::Engine::Finish(SolveStatus status) {
   result.basis_state = t_.state;
   result.refactorizations = refactorizations_;
   result.factor_reuses = factor_reuses_;
+  result.dual_pivots = dual_pivots_;
   return result;
 }
 
@@ -719,6 +1047,7 @@ SimplexResult SimplexSolver::Engine::Solve(
   iterations_ = 0;
   refactorizations_ = 0;
   factor_reuses_ = 0;
+  dual_pivots_ = 0;
   degenerate_run_ = 0;
   solve_updates_ = 0;
   feas_tol_ = options_.feasibility_tol;
@@ -734,6 +1063,21 @@ SimplexResult SimplexSolver::Engine::Run() {
                         : 200LL * (t_.m + t_.n_struct) + 2000;
 
   int resets = 0;
+  // A start that is dual feasible but primal infeasible — a parent's
+  // optimal basis after a bound change or appended rows — is re-solved
+  // by the dual simplex; the primal loop below confirms its optimum or
+  // takes over from wherever it handed over.
+  switch (DualPhase()) {
+    case 2:
+      return Finish(SolveStatus::kInfeasible);
+    case 3:
+      if (!ResetToSlackBasis(&resets)) {
+        return Finish(SolveStatus::kIterationLimit);
+      }
+      break;
+    default:
+      break;
+  }
   while (true) {
     if (iterations_ >= max_iterations_) {
       return Finish(SolveStatus::kIterationLimit);
@@ -775,15 +1119,9 @@ SimplexResult SimplexSolver::Engine::Run() {
     }
 
     // step == 3 (singular) or numerical trouble: reset to slack basis.
-    if (++resets > 4) {
-      SQPR_LOG_WARN << "simplex giving up after repeated singular bases";
+    if (!ResetToSlackBasis(&resets)) {
       return Finish(SolveStatus::kIterationLimit);
     }
-    InstallSlackBasis();
-    const bool ok = Refactorize();
-    SQPR_CHECK(ok) << "slack basis cannot be singular";
-    RecomputeBasicValues();
-    degenerate_run_ = 0;
   }
 }
 

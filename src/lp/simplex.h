@@ -58,7 +58,11 @@ struct SimplexResult {
   std::vector<double> values;
   /// Objective in the model's own sense.
   double objective = 0.0;
+  /// Simplex iterations of both algorithms: every pivot and bound flip,
+  /// dual pivots included, plus the primal loop's final pricing pass.
   int64_t iterations = 0;
+  /// Pivots the dual simplex made (a subset of iterations).
+  int64_t dual_pivots = 0;
   /// Final basis, reusable as SimplexOptions::warm_basis for subsequent
   /// related solves.
   std::vector<BasisState> basis_state;
@@ -68,26 +72,43 @@ struct SimplexResult {
   /// recovery.
   int64_t refactorizations = 0;
   /// 1 when the starting basis reused a factorization the solver kept
-  /// from an earlier solve (re-ordered, and bordered with appended rows,
-  /// in O(m^2)) instead of refactorizing; 0 otherwise.
+  /// from an earlier solve (brought to it by a few column exchanges,
+  /// re-ordered, and bordered with appended rows, in O(m^2) each)
+  /// instead of refactorizing; 0 otherwise.
   int64_t factor_reuses = 0;
 };
 
-/// Two-phase bounded-variable revised primal simplex over a basis inverse
-/// kept in dense storage, with periodic refactorisation.
+/// Bounded-variable revised simplex — a two-phase primal and a bounded
+/// dual — over a basis inverse kept in dense storage, with periodic
+/// refactorisation.
 ///
 /// This is the LP engine underneath the branch-and-bound MILP solver that
 /// stands in for CPLEX in the SQPR reproduction. Design points:
 ///  * rows are turned into equalities with bounded slack columns; a
 ///    composite (infeasibility-minimising) phase 1 removes out-of-bound
 ///    basic values, so any basis — including a warm one from a related
-///    solve — is a legal start;
+///    solve — is a legal start for the primal loop;
 ///  * Dantzig pricing with an automatic switch to Bland's rule after a
 ///    run of degenerate pivots (anti-cycling);
 ///  * bound flips are handled without basis changes;
+///  * a starting basis that is dual feasible (phase-2 reduced costs
+///    within optimality_tol) but primal infeasible — a parent's optimal
+///    basis after a branching bound change, appended cut rows or a dive
+///    fixing — is re-solved by the dual simplex first. The leaving row is
+///    the largest primal infeasibility; the pivot row is read off the
+///    kept inverse; a Harris two-pass ratio test with bound flipping for
+///    boxed columns picks the entering column; reduced costs are updated
+///    in place and recomputed only at entry and after a refactorization.
+///    A dual ray ends the solve as kInfeasible. A tiny pivot, a pivot row
+///    and column that disagree, lost dual feasibility or 2m + 50 dual
+///    pivots hand over to the primal loop from the current basis, which
+///    also confirms every dual optimum with one pricing pass. Root and
+///    cold solves start from the slack basis, which is not dual feasible
+///    for the SQPR models, and take the primal path;
 ///  * the basis inverse is maintained column-major via product-form
-///    updates and rebuilt in place by Gauss-Jordan every
-///    refactor_interval pivots;
+///    updates (one kernel for primal, dual and column-exchange pivots)
+///    and rebuilt in place by Gauss-Jordan every refactor_interval
+///    pivots;
 ///  * the per-pivot kernels are sparse-aware: pricing sums over the
 ///    nonzero basic costs only, the ratio test and the update visit only
 ///    the nonzeros of the entering column B^-1 a_q, and refactorization
@@ -103,7 +124,9 @@ struct SimplexResult {
 /// variable/row bounds, objective coefficients and appended rows — the
 /// branch-and-bound contract (node bounds, cut and lazy rows). A solve
 /// whose starting basis has the same basic set as the kept inverse
-/// reuses it: appended rows (whose slacks start basic) border it as
+/// reuses it, and one that differs from it in a few columns (a sibling
+/// started from the parent's basis) reaches it by product-form column
+/// exchanges; appended rows (whose slacks start basic) border it as
 /// [[B^-1, 0], [R B^-1, -I]], and its positions are re-ordered to what a
 /// fresh factorization would use, so pricing and ratio-test ties break
 /// as on a cold start. Any other starting basis is refactorized. A
@@ -112,7 +135,7 @@ struct SimplexResult {
 ///
 /// Chain solves by passing the previous SimplexResult::basis_state as the
 /// next starting basis — branch-and-bound node re-solves then take a
-/// handful of iterations and no O(m^3) refactorization.
+/// handful of dual pivots and no O(m^3) refactorization.
 class SimplexSolver {
  public:
   explicit SimplexSolver(SimplexOptions options = {});

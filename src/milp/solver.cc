@@ -21,13 +21,15 @@ struct BoundChange {
   double ub;
 };
 
-/// Open node in the search tree. Bound changes are stored as a chain to
-/// the root so open nodes cost O(1) memory each.
+/// Node of the search tree. Bound changes are stored as a chain to the
+/// root so open nodes cost O(1) memory each; a processed node keeps its
+/// final optimal basis (n + m bytes), the start of its children's LPs.
 struct Node {
   int parent = -1;          // index into the node arena, -1 for root
   BoundChange change{};     // no-op for the root
   double bound = 0.0;       // inherited dual bound (maximisation)
   int depth = 0;
+  std::vector<lp::BasisState> basis;  // empty until solved to optimality
 };
 
 /// SQPR_MILP_DEBUG traces the search on stderr; read once per process.
@@ -66,7 +68,8 @@ class BranchAndBound {
   int PickBranchVariable(const std::vector<double>& x) const;
   double PruneThreshold() const;
   bool IsIntegral(const std::vector<double>& x) const;
-  void MaybeUpdateIncumbent(const std::vector<double>& x, double obj);
+  // Returns true when x became the incumbent.
+  bool MaybeUpdateIncumbent(const std::vector<double>& x, double obj);
   // Processes one node; pushes children onto the queue / plunge slot.
   // Returns the node index to plunge into next, or -1.
   int ProcessNode(int node_index);
@@ -78,6 +81,12 @@ class BranchAndBound {
   // tight per-query timeouts.
   void DivingHeuristic(const std::vector<double>& start);
   double QueueBestBound() const;
+  // The basis node's LP starts from: its own after a re-solve against
+  // lazy rows, else that of its nearest ancestor solved to optimality
+  // (empty at the root: the slack basis). A parent's optimal basis stays
+  // dual feasible under the child's bound change, so the engine re-solves
+  // it with the dual simplex.
+  const std::vector<lp::BasisState>& StartBasis(int node) const;
   // Solves the relaxation work_ on the search's LP engine from `warm`
   // (empty: lp_options.warm_basis, by default the slack basis) and
   // counts the work.
@@ -92,9 +101,6 @@ class BranchAndBound {
   // of refactorizing. Scoped to the search, so no state crosses solves,
   // threads or replays.
   lp::SimplexSolver lp_;
-  // Basis of the most recently solved relaxation; used to warm-start the
-  // next node/dive LP (plunging makes consecutive LPs near-identical).
-  std::vector<lp::BasisState> last_basis_;
 
   std::vector<Node> arena_;
   std::priority_queue<QueueEntry> open_;
@@ -107,6 +113,9 @@ class BranchAndBound {
   int64_t lp_solves_ = 0;
   int64_t lp_refactorizations_ = 0;
   int64_t lp_factor_reuses_ = 0;
+  int64_t lp_dual_pivots_ = 0;
+  int64_t incumbents_ = 0;
+  int64_t dive_incumbents_ = 0;
 };
 
 void BranchAndBound::ApplyBounds(int node) {
@@ -172,9 +181,9 @@ bool BranchAndBound::IsIntegral(const std::vector<double>& x) const {
   return true;
 }
 
-void BranchAndBound::MaybeUpdateIncumbent(const std::vector<double>& x,
+bool BranchAndBound::MaybeUpdateIncumbent(const std::vector<double>& x,
                                           double obj) {
-  if (have_incumbent_ && obj <= incumbent_obj_) return;
+  if (have_incumbent_ && obj <= incumbent_obj_) return false;
   incumbent_ = x;
   // Snap integer values exactly so downstream plan extraction can compare
   // against 0/1 without tolerances.
@@ -183,10 +192,19 @@ void BranchAndBound::MaybeUpdateIncumbent(const std::vector<double>& x,
   }
   incumbent_obj_ = obj;
   have_incumbent_ = true;
+  ++incumbents_;
+  return true;
 }
 
 double BranchAndBound::QueueBestBound() const {
   return open_.empty() ? -lp::kInf : open_.top().bound;
+}
+
+const std::vector<lp::BasisState>& BranchAndBound::StartBasis(
+    int node) const {
+  int cur = node;
+  while (cur > 0 && arena_[cur].basis.empty()) cur = arena_[cur].parent;
+  return arena_[cur].basis;
 }
 
 lp::SimplexResult BranchAndBound::SolveRelaxation(
@@ -197,6 +215,7 @@ lp::SimplexResult BranchAndBound::SolveRelaxation(
   lp_iterations_ += rel.iterations;
   lp_refactorizations_ += rel.refactorizations;
   lp_factor_reuses_ += rel.factor_reuses;
+  lp_dual_pivots_ += rel.dual_pivots;
   return rel;
 }
 
@@ -210,7 +229,9 @@ void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
     saved[v] = {work_.variable_lb(v), work_.variable_ub(v)};
   }
   std::vector<double> x = start;
-  std::vector<lp::BasisState> dive_basis = last_basis_;
+  // Each step fixes one more column of the last optimal dive LP: its
+  // basis stays dual feasible, starting with the root's after cuts.
+  std::vector<lp::BasisState> dive_basis = arena_[0].basis;
 
   const int max_rounds = 2 * n + 10;
   for (int round = 0; round < max_rounds; ++round) {
@@ -283,7 +304,7 @@ void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
                 cuts_ok, feas.ToString().c_str(), rel.objective);
       }
       if (cuts_ok && feas.ok()) {
-        MaybeUpdateIncumbent(x, rel.objective);
+        if (MaybeUpdateIncumbent(x, rel.objective)) ++dive_incumbents_;
         break;
       }
       if (!cuts_ok) continue;  // cycle cuts added: keep diving against them
@@ -303,7 +324,7 @@ int BranchAndBound::ProcessNode(int node_index) {
   ++nodes_;
   ApplyBounds(node_index);
 
-  lp::SimplexResult rel = SolveRelaxation(last_basis_);
+  lp::SimplexResult rel = SolveRelaxation(StartBasis(node_index));
   // Fractional cut separation loop: tighten the relaxation in place
   // while the handler keeps finding violated rows.
   for (int pass = 0; pass < 5 && rel.status == lp::SolveStatus::kOptimal &&
@@ -313,7 +334,7 @@ int BranchAndBound::ProcessNode(int node_index) {
     rel = SolveRelaxation(rel.basis_state);
   }
   if (rel.status == lp::SolveStatus::kOptimal) {
-    last_basis_ = std::move(rel.basis_state);
+    arena_[node_index].basis = std::move(rel.basis_state);
   }
 
   switch (rel.status) {
@@ -338,8 +359,13 @@ int BranchAndBound::ProcessNode(int node_index) {
 
   if (node_index == 0 && rel.status == lp::SolveStatus::kOptimal &&
       options_.cuts.enable && !IsIntegral(rel.values)) {
-    // Root cutting-plane loop (cut-and-branch): separate, re-solve with
-    // the warm basis, repeat while the relaxation keeps moving.
+    // Root cutting-plane loop (cut-and-branch): separate, re-solve from
+    // the root's basis, repeat while the relaxation keeps moving. The
+    // first round separates cover cuts only (Separate gets no basis, so
+    // no Gomory rows), as the search always has: separating Gomory rows
+    // from the first root optimum too grows the SQPR relaxations from
+    // about 51 to 78 rows and costs more LP time than its cuts save.
+    rel.basis_state.clear();
     SQPR_TRACE_SPAN_ARGS(cut_span, "milp/root_cuts", "rounds", "cuts_added");
     uint64_t cut_rounds = 0, cuts_added = 0;
     CutGenerator cg(base_.integer, options_.cuts);
@@ -350,9 +376,10 @@ int BranchAndBound::ProcessNode(int node_index) {
       ++cut_rounds;
       cuts_added += static_cast<uint64_t>(separated);
       cut_span.set_args(cut_rounds, cuts_added);
-      lp::SimplexResult tightened = SolveRelaxation(rel.basis_state);
+      lp::SimplexResult tightened = SolveRelaxation(arena_[node_index].basis);
       if (tightened.status != lp::SolveStatus::kOptimal) break;
       rel = std::move(tightened);
+      arena_[node_index].basis = rel.basis_state;
       arena_[node_index].bound = rel.objective;
       if (IsIntegral(rel.values)) break;
     }
@@ -360,7 +387,6 @@ int BranchAndBound::ProcessNode(int node_index) {
       fprintf(stderr, "[cuts] gomory=%d cover=%d root bound %.4f\n",
               cg.total_gomory(), cg.total_cover(), rel.objective);
     }
-    last_basis_ = rel.basis_state;
   }
 
   const double node_bound = arena_[node_index].bound;
@@ -486,6 +512,9 @@ MipResult BranchAndBound::Run() {
   result.lp_solves = lp_solves_;
   result.lp_refactorizations = lp_refactorizations_;
   result.lp_factor_reuses = lp_factor_reuses_;
+  result.lp_dual_pivots = lp_dual_pivots_;
+  result.incumbents = incumbents_;
+  result.dive_incumbents = dive_incumbents_;
   result.wall_ms = watch.ElapsedMillis();
 
   double residual_bound = QueueBestBound();

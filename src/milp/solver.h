@@ -106,7 +106,8 @@ struct SolverOptions {
   /// SQPR admission solve starts from); installed as the initial
   /// incumbent after a feasibility check. LP bases never cross solves:
   /// the root LP starts from lp_options (the slack basis by default) and
-  /// every later LP of the search from its predecessor's basis.
+  /// every later LP of the search from its parent node's optimal basis
+  /// (a dive step from the previous dive LP's).
   const std::vector<double>* warm_start = nullptr;
 };
 
@@ -125,6 +126,13 @@ struct MipResult {
   int64_t lp_solves = 0;
   int64_t lp_refactorizations = 0;
   int64_t lp_factor_reuses = 0;
+  /// Of lp_iterations, the pivots the dual simplex made re-solving a
+  /// parent's basis (children, cut re-solves, dive steps).
+  int64_t lp_dual_pivots = 0;
+  /// Times the incumbent improved (the warm start included), and how
+  /// many of those the root rounding dive supplied.
+  int64_t incumbents = 0;
+  int64_t dive_incumbents = 0;
   double wall_ms = 0.0;
   /// True when the search stopped because the (effective) deadline
   /// expired — as opposed to the node limit or a proven optimum. The

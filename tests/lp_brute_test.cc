@@ -2,7 +2,8 @@
 // equal the best vertex found by brute-force basis enumeration. This is
 // the strongest correctness check we can run without an external
 // solver — every basic feasible solution of the slack-form system is
-// enumerated and evaluated.
+// enumerated and evaluated. Cold solves take the primal simplex; warm
+// re-solves of branched or cut children take the dual simplex.
 
 #include <gtest/gtest.h>
 
@@ -195,6 +196,66 @@ TEST_P(SimplexVsBruteForce, OptimaAgree) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, SimplexVsBruteForce,
                          ::testing::Range(0, 60));
+
+// Children of an optimal LP re-solved warm on the same engine — bounds
+// tightened past the parent's point, a row appended that the parent
+// violates — take the dual simplex from the parent's basis. Each must
+// agree with the brute-force vertex enumeration, infeasible ones too.
+TEST(DualSimplexVsBruteForce, WarmChildrenAgree) {
+  int64_t dual_pivots = 0;
+  int checked = 0, dual_infeasible = 0;
+  for (int instance = 0; instance < 80; ++instance) {
+    Model m = RandomSmallLp(0xd0a1 + instance);
+    Rng rng(0x5eed + instance);
+    SimplexSolver solver;
+    const SimplexResult parent = solver.Solve(m);
+    if (parent.status != SolveStatus::kOptimal) continue;
+    const int n = m.num_variables();
+    for (int child = 0; child < 3; ++child) {
+      const int v = static_cast<int>(rng.NextUint64() % n);
+      const double value = parent.values[v];
+      if (rng.NextBool(0.5)) {
+        m.SetVariableBounds(v, m.variable_lb(v),
+                            std::max(m.variable_lb(v), value - 1.0));
+      } else {
+        m.SetVariableBounds(v, std::min(m.variable_ub(v), value + 1.0),
+                            m.variable_ub(v));
+      }
+      if (child == 2) {
+        std::vector<std::pair<int, double>> terms;
+        double at_parent = 0.0;
+        for (int u = 0; u < n; ++u) {
+          terms.emplace_back(u, 1.0);
+          at_parent += parent.values[u];
+        }
+        m.AddRow(-kInf, at_parent - 1.5, std::move(terms));
+      }
+      const SimplexResult warm = solver.Solve(m, &parent.basis_state);
+      dual_pivots += warm.dual_pivots;
+      double brute = 0.0;
+      const bool brute_found = BruteForceOptimum(m, &brute);
+      if (warm.status == SolveStatus::kOptimal) {
+        ASSERT_TRUE(brute_found) << "instance " << instance << " child "
+                                 << child;
+        EXPECT_NEAR(warm.objective, brute, 1e-5)
+            << "instance " << instance << " child " << child;
+        EXPECT_TRUE(m.CheckFeasible(warm.values, 1e-6).ok());
+        ++checked;
+      } else {
+        ASSERT_EQ(warm.status, SolveStatus::kInfeasible)
+            << "instance " << instance << " child " << child;
+        EXPECT_FALSE(brute_found) << "instance " << instance << " child "
+                                  << child
+                                  << ": brute force found a feasible vertex";
+        if (warm.iterations == warm.dual_pivots) ++dual_infeasible;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 100);
+  EXPECT_GT(dual_pivots, 50) << "the dual path barely ran";
+  EXPECT_GT(dual_infeasible, 10);
+}
 
 }  // namespace
 }  // namespace lp

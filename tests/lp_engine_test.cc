@@ -8,7 +8,8 @@
 // appended rows) rather than refactorizing every time. A pinned digest
 // of the same corpus plus a node-bounded MILP search holds the engine's
 // pivot path fixed. A randomised warm-vs-cold pair pins the parent →
-// child basis hand-off a search relies on.
+// child basis hand-off a search relies on, and dual re-solves of
+// branched and cut children must match cold solves.
 
 #include <gtest/gtest.h>
 
@@ -81,8 +82,9 @@ Model RandomLp(Rng* rng, std::vector<double>* x0) {
 }
 
 /// The pivot path of a run of solves: an FNV-1a digest of the discrete
-/// results (status, work counters, final basis, MILP node counts) plus
-/// the objectives, which are compared with a tolerance instead.
+/// results (status, work counters including dual pivots, final basis,
+/// MILP node counts) plus the objectives, which are compared with a
+/// tolerance instead.
 struct PathLog {
   uint64_t digest = 0xcbf29ce484222325ULL;
   std::vector<double> objectives;
@@ -98,6 +100,7 @@ struct PathLog {
     Mix(static_cast<uint64_t>(r.iterations));
     Mix(static_cast<uint64_t>(r.refactorizations));
     Mix(static_cast<uint64_t>(r.factor_reuses));
+    Mix(static_cast<uint64_t>(r.dual_pivots));
     Mix(r.basis_state.size());
     for (BasisState s : r.basis_state) Mix(static_cast<uint64_t>(s));
     objectives.push_back(r.objective);
@@ -106,6 +109,7 @@ struct PathLog {
     Mix(static_cast<uint64_t>(r.status));
     Mix(static_cast<uint64_t>(r.nodes));
     Mix(static_cast<uint64_t>(r.lp_iterations));
+    Mix(static_cast<uint64_t>(r.lp_dual_pivots));
     objectives.push_back(r.objective);
     objectives.push_back(r.best_bound);
   }
@@ -314,6 +318,83 @@ TEST(LpEngineTest, RepeatSolveFromOwnBasisReusesWithoutPivots) {
   EXPECT_NEAR(again.objective, first.objective, 1e-9);
 }
 
+/// Dual re-solves: from an optimal parent on one engine, children
+/// tighten column bounds past the parent's point and append rows the
+/// parent violates, then re-solve warm from the parent's basis. That
+/// basis stays dual feasible (an appended row's slack starts basic with
+/// a zero dual), so the engine takes the dual simplex; every child must
+/// match a cold one-shot solve in status and objective (1e-9 relative),
+/// infeasible children included.
+TEST(LpEngineTest, DualReSolvesMatchColdSolves) {
+  int64_t dual_pivots = 0;
+  int optimal = 0, infeasible = 0, dual_infeasible = 0;
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    Rng rng(0xd0a15eedULL + seed);
+    std::vector<double> x0;
+    Model model = RandomLp(&rng, &x0);
+    const int n = model.num_variables();
+    std::vector<double> root_lb(n), root_ub(n);
+    for (int v = 0; v < n; ++v) {
+      root_lb[v] = model.variable_lb(v);
+      root_ub[v] = model.variable_ub(v);
+    }
+    SimplexSolver engine;
+    const SimplexResult parent = engine.Solve(model);
+    ASSERT_EQ(parent.status, SolveStatus::kOptimal) << "seed " << seed;
+    for (int child = 0; child < 6; ++child) {
+      SetBounds(&model, root_lb, root_ub);
+      const int tightenings = 1 + static_cast<int>(rng.NextUint64() % 3);
+      for (int k = 0; k < tightenings; ++k) {
+        const int v = static_cast<int>(rng.NextUint64() % n);
+        const double value = parent.values[v];
+        double lb = model.variable_lb(v), ub = model.variable_ub(v);
+        if (rng.NextBool(0.5)) {
+          ub = std::max(lb, std::ceil(value) - 1.0);
+        } else {
+          lb = std::min(ub, std::floor(value) + 1.0);
+        }
+        model.SetVariableBounds(v, lb, ub);
+      }
+      if (rng.NextBool(0.4)) {
+        // A row the parent's point violates by at least a quarter.
+        std::vector<std::pair<int, double>> terms;
+        double at_parent = 0.0;
+        for (int v = 0; v < n; ++v) {
+          if (!rng.NextBool(0.5)) continue;
+          terms.emplace_back(v, 1.0);
+          at_parent += parent.values[v];
+        }
+        if (!terms.empty() && at_parent >= 1.0) {
+          model.AddRow(-kInf, std::floor(at_parent - 0.25), terms, "cut");
+        }
+      }
+      const SimplexResult warm = engine.Solve(model, &parent.basis_state);
+      const SimplexResult cold = SimplexSolver().Solve(model);
+      ASSERT_EQ(warm.status, cold.status)
+          << "seed " << seed << " child " << child << ": "
+          << SolveStatusName(warm.status) << " vs "
+          << SolveStatusName(cold.status);
+      EXPECT_LE(warm.dual_pivots, warm.iterations);
+      dual_pivots += warm.dual_pivots;
+      if (warm.status == SolveStatus::kOptimal) {
+        ++optimal;
+        EXPECT_NEAR(warm.objective, cold.objective,
+                    1e-9 * std::max(1.0, std::abs(cold.objective)))
+            << "seed " << seed << " child " << child;
+        const Status feasible = model.CheckFeasible(warm.values, 1e-6);
+        EXPECT_TRUE(feasible.ok()) << feasible.ToString();
+      } else if (warm.status == SolveStatus::kInfeasible) {
+        ++infeasible;
+        // Only the dual ray proves infeasibility without a primal pass.
+        if (warm.iterations == warm.dual_pivots) ++dual_infeasible;
+      }
+    }
+  }
+  EXPECT_GT(optimal, 100);
+  EXPECT_GT(dual_pivots, optimal) << "the dual path barely ran";
+  EXPECT_GT(dual_infeasible, 20) << infeasible << " infeasible children";
+}
+
 /// A random mixed-integer program (maximisation) around an integral
 /// reference point, so it is feasible: general integer and continuous
 /// columns in [0, 4], <= and ranged rows with mixed-sign coefficients.
@@ -348,34 +429,34 @@ milp::Model RandomMip(uint64_t seed) {
   return m;
 }
 
-// Pinned on the dense-kernel engine. The simplex kernels skip exact
-// zeros but perform the same floating-point operations, in the same
-// order, on every nonzero, so pivots, bases and work counters must not
-// move. A deliberate change to the pivot path re-records both constants
-// from the failure message.
-constexpr uint64_t kPinnedPathDigest = 0x40734676a2e5849cULL;
+// Recorded on the engine whose warm re-solves take the dual simplex
+// (children start from their parent's basis). The simplex kernels run a
+// fixed floating-point operation sequence, so pivots, bases and work
+// counters must not move. A deliberate change to the pivot path
+// re-records both constants from the failure message.
+constexpr uint64_t kPinnedPathDigest = 0x30445b539a8ea8d5ULL;
 constexpr double kPinnedObjectives[] = {
-    -10.25, -10, -10, -10, -10, -10, -8, -8, -10, -10, -9, 36, -10,
-    -9.3333333333333321, -8.5, -8, 40, -8.5, -7, 74.700000000000003,
+    -10.25, -10, -10, -10, -10, -10, -8, -8, -10, -10, -9, 33.428571428571431,
+    -10, -10, -8.6999999999999993, -8.6666666666666661, 41, -8.6666666666666679,
+    -8.5, 74.700000000000003, 74.700000000000003, 74.700000000000003,
     74.700000000000003, 74.700000000000003, 74.700000000000003,
-    74.700000000000003, 74.700000000000003, 56.099999999999994,
-    74.700000000000003, 74.700000000000003, 72.5, 70, 64.5, 64.5, 64.5, 64.5,
-    72.5, 72.5, 64, 0.4000000000000008, 7.6000000000000005, 0.39999999999999947,
-    0.39999999999999947, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 10.666666666666668,
-    10.666666666666666, 11.666666666666666, 62.666666666666664,
+    56.099999999999994, 74.700000000000003, 74.700000000000003, 72.5, 70, 64.5,
+    64.5, 64.5, 64.5, 72.5, 72.5, 64, 0.4000000000000008, 7.6000000000000005,
+    0.39999999999999947, 0.39999999999999947, 1, 2.5, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+    10.666666666666668, 10.666666666666666, 11.666666666666666,
+    62.666666666666664, 11.666666666666666, 11.666666666666666,
     11.666666666666666, 11.666666666666666, 11.666666666666666,
-    11.666666666666666, 11.666666666666666, 13.666666666666666, 16, 37, 16,
-    10.666666666666668, 61.666666666666664, 10.666666666666666,
-    10.666666666666666, 10.666666666666666, 17.666666666666664,
-    17.666666666666664, 35.393939393939391, 33.600000000000001,
-    33.599999999999994, 33.599999999999994, 29.5, 28.230769230769234, 25.25,
-    33.600000000000009, 28.400000000000006, 28.400000000000006,
-    27.777777777777786, 27.777777777777782, 26.666666666666671,
-    20.666666666666668, 26.666666666666668, 20.666666666666668,
-    26.666666666666668, 26.666666666666668, 26.666666666666668, 2, 2, 2, 2, 2,
-    2, 2, 8, 102, 8, 8, 8, 102, 8, 2, 2, 2, 7, 15.666666666666666,
-    72.140562288283604, 78.353775543452983, 0, 88.426440819066045, 0,
-    111.50231843537773,
+    13.666666666666666, 16, 37, 16, 10.666666666666668, 61.666666666666664,
+    10.666666666666666, 10.666666666666666, 10.666666666666666,
+    17.666666666666664, 17.666666666666664, 35.393939393939391,
+    33.600000000000001, 33.600000000000001, 33.600000000000001,
+    29.500000000000004, 28.230769230769234, 25.25, 33.600000000000001,
+    28.399999999999999, 28.399999999999999, 27.777777777777775,
+    27.777777777777775, 26.666666666666668, -89.999999999999957,
+    26.666666666666668, -89.999999999999972, 26.666666666666668,
+    26.666666666666668, 26.666666666666671, 2, 2, 2, 2, 2, 2, 2, 8, 102, 8, 8,
+    8, 102, 8, 2, 2, 2, 7, 14.333333333333332, 72.14056228828359,
+    78.353775543452997, 0, 88.426440819066059, 0, 111.5023184353777,
 };
 
 TEST(LpEngineTest, KernelRewriteKeepsPivotPath) {

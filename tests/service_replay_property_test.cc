@@ -653,7 +653,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ServiceKillRestoreTest,
 // checkpoint bytes of a 120-event replay that also exports a checkpoint
 // every five events. Seeds 1-5, open and closed loop. The constants were
 // recorded with exactly one re-planning round in flight (dispatched at
-// the end of event N, committed at the end of event N+1) at workers 0.
+// the end of event N, committed at the end of event N+1) at workers 0,
+// with branch-and-bound children re-solved by the dual simplex from
+// their parent's basis (degenerate optima land on other vertices than
+// the primal path's, so that change re-recorded them).
 // Unlike the worker-invariance properties, which compare configurations
 // with each other, this pins the schedule itself: a change that moves a
 // commit point, an audit record or a checkpoint byte fails here even if
@@ -698,16 +701,16 @@ TEST(ServiceReplayGoldenTest, CheckpointedReplayDigestsArePinned) {
     uint64_t digest;
   };
   constexpr Golden kGolden[] = {
-      {1, false, 0xbd8a34340fca790d},
-      {2, false, 0xf6836e72d24c25a},
-      {3, false, 0x9012d655c1320fcc},
-      {4, false, 0x7debda4c864089bd},
-      {5, false, 0x60f14b7bd7c83138},
-      {1, true, 0x2016bdb5c624ed68},
-      {2, true, 0x53102fbfcdf2539d},
-      {3, true, 0xfcffe576e2799130},
-      {4, true, 0x7f24b0835d979051},
-      {5, true, 0x74377fdcc6a02ba4},
+      {1, false, 0xa9ef83ed89bc0002},
+      {2, false, 0x5d6a17e5b0c6e4aa},
+      {3, false, 0x30a222439b12d1be},
+      {4, false, 0x4d1c93f21311629d},
+      {5, false, 0x255201b3801356f7},
+      {1, true, 0x4f80f63565974ea1},
+      {2, true, 0xed9e34e0f4d45c71},
+      {3, true, 0xb83a050b3cbadda5},
+      {4, true, 0x70edd14544a6f686},
+      {5, true, 0xc9bd358aa3ad8561},
   };
   for (const Golden& g : kGolden) {
     const uint64_t digest = CheckpointedReplayDigest(g.seed, g.closed_loop);

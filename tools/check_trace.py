@@ -24,6 +24,8 @@ Checks (all fatal):
     The union of all named spans across all threads, clipped to the
     round's window, must cover >= --min-round-coverage of it: "explain
     every millisecond" is gated here, not eyeballed in Perfetto.
+  * With --require-rounds, at least one complete dispatch/commit pair
+    must be retained, so the attribution check cannot pass vacuously.
 
 Exit 0 on success, 1 with a message on any failure.
 """
@@ -76,7 +78,8 @@ def main():
     ap.add_argument(
         "--require-rounds",
         action="store_true",
-        help="fail when the trace contains no re-planning rounds",
+        help="fail when the trace retains no complete re-planning round "
+        "(a dispatch span together with its commit span)",
     )
     args = ap.parse_args()
 
@@ -168,8 +171,6 @@ def main():
 
     dispatches = spans_named("service/round.dispatch")
     commits = spans_named("service/round.commit")
-    if args.require_rounds and not dispatches:
-        fail("trace contains no service/round.dispatch spans")
     for r, _, _ in dispatches + commits:
         if not isinstance(r, int):
             fail(f"round span without an integer 'round' arg: {r!r}")
@@ -192,6 +193,13 @@ def main():
             f"check_trace: note: {dropped} dispatches and {unmatched} "
             f"commits retained without their pair; checking {len(pairs)} "
             f"complete rounds"
+        )
+    if args.require_rounds and not pairs:
+        # Dispatch spans alone prove nothing: without a complete
+        # dispatch/commit pair no round window is checked at all.
+        fail(
+            f"no complete re-planning round retained ({len(dispatches)} "
+            f"dispatch and {len(commits)} commit spans)"
         )
 
     intervals = [(s, e) for _, _, s, e, _ in spans]
