@@ -23,8 +23,8 @@ namespace fault {
 /// Crash points wired in:
 ///   event            after each consumed service event
 ///                    (tools/sqpr_service.cc event loop)
-///   mid-round        after a re-planning round is dispatched for
-///                    speculative solving, before its commit point
+///   mid-round        after a re-planning round is popped and its
+///                    catalog closures warmed, before its commit point
 ///                    (PlanningService::DispatchReplanRound)
 ///   checkpoint-write mid-write of a checkpoint temp file, before the
 ///                    atomic rename (WriteFileAtomic) — the torn-write

@@ -46,10 +46,9 @@ class LogMessage {
   ~LogMessage() {
     if (level_ >= MinLogLevel()) {
       stream_ << "\n";
-      // One fwrite per message, not per chunk: worker threads log
-      // concurrently (speculative solves, warm failures) and stdio only
-      // guarantees atomicity per call — a single write keeps lines from
-      // interleaving mid-record.
+      // One fwrite per message, not per chunk: stdio only guarantees
+      // atomicity per call, so a single write keeps lines from
+      // concurrent threads from interleaving mid-record.
       const std::string text = stream_.str();
       std::fwrite(text.data(), 1, text.size(), stderr);
     }

@@ -69,9 +69,8 @@ struct Closure {
 };
 
 /// Append-only store with stable addresses, lock-free reads and
-/// externally serialised appends — the backing the catalog needs so that
-/// planner worker threads can read already-interned entries while the
-/// event-loop thread interns new ones.
+/// externally serialised appends — the backing that lets reader threads
+/// read already-interned entries while another thread interns new ones.
 ///
 /// Entries live in fixed-size blocks reached through a fixed spine of
 /// atomic block pointers, so a published `const T&` is never moved or
@@ -252,13 +251,13 @@ class ProducerList {
 ///    partially constructed entry.
 ///  * UpdateBaseRate mutates *published* entries (rates, costs) and
 ///    therefore requires exclusive access: callers must quiesce every
-///    concurrent reader first (the planning service retires the
-///    in-flight re-planning round before monitor reports install rates).
+///    concurrent reader first (the planning service has none: it plans
+///    on one thread).
 ///
 /// Note that interning safety is distinct from *determinism*: StreamIds
 /// are assigned in interning order, so replayable systems must intern
-/// only at deterministic points (the service interns on the loop thread
-/// — WarmCatalog before dispatch/solve — and never from workers).
+/// only at deterministic points (the service interns through WarmCatalog
+/// when it pops a re-planning round or admits an arrival).
 ///
 /// Capacity: the stable stores are bounded (kBlockSize * kSpineSize =
 /// 8M streams and 8M operators — roughly a GB of operator metadata,

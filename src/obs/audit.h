@@ -3,26 +3,26 @@
 
 // Decision audit journal (schema sqpr-audit-v1): every operational
 // decision the planning service takes — admit, reject, re-plan, evict,
-// drift, conflict resolution — appended in commit order
-// as one JSONL record, so "why was query Q rejected at t=412?" is a
-// grep, not a debugger session.
+// drift — appended in commit order as one JSONL record, so "why was
+// query Q rejected at t=412?" is a grep, not a debugger session.
 //
-// Determinism contract. The service commits bit-identical deployments
-// across worker counts (docs/ARCHITECTURE.md §4);
-// the journal inherits that by splitting every record into two strata:
+// Determinism contract. The service's committed deployments depend only
+// on the trace (docs/ARCHITECTURE.md §4); the journal inherits that by
+// splitting every record into two strata:
 //
 //  * canonical fields — virtual time, decision kind, query/host, the
 //    commit-order round sequence number, and pre/post deployment
 //    fingerprints. These depend only on the committed decision sequence,
 //    so the canonical rendering (ToJsonl(/*canonical=*/true)) is
-//    byte-identical across workers {0,1,4} — asserted by the replay
-//    property suite and bench_service_churn.
+//    byte-identical across replays and across checkpoint/restore —
+//    asserted by the replay property suite and perfbench.
 //  * operational fields — wall-clock solve/commit latencies and the
 //    round dispatch id ("wall": {...}), plus whole records marked
-//    speculative (dispatches, conflicts, scheduler discards, watchdog
-//    stalls). These describe how the service got to a decision — wall
-//    time and speculation — not the decision itself, so the full
-//    rendering carries them and the canonical rendering strips them.
+//    speculative (dispatches, scheduler discards, watchdog stalls,
+//    deadline breaches). These describe how the service got to a
+//    decision — wall time and scheduling — not the decision itself, so
+//    the full rendering carries them and the canonical rendering strips
+//    them.
 //
 // Thread safety: none — Append() is loop-thread-only, like every other
 // commit-ordered structure in the service. Renders happen after the run
@@ -45,8 +45,8 @@ namespace obs {
 ///   measure.tick rate.directive replan.enqueue replan.round
 ///   replan.admit replan.reject replan.fail close.admitted
 ///   close.pending journal.close
-/// and (speculative) round.dispatch replan.discard replan.conflict
-/// watchdog.stall.
+/// and (speculative) round.dispatch replan.discard watchdog.stall
+/// solve.deadline.
 struct AuditRecord {
   // ---- canonical ----
   int64_t t_ms = 0;          ///< virtual clock at the decision
@@ -70,8 +70,8 @@ struct AuditRecord {
   uint64_t post_structure = 0;
   uint64_t post_fp = 0;
   // ---- operational (stripped by the canonical rendering) ----
-  /// Whole-record marker: a speculation artifact (how a round was
-  /// solved), not a committed decision.
+  /// Whole-record marker: a scheduling or wall-clock artifact, not a
+  /// committed decision.
   bool speculative = false;
   double solve_ms = -1.0;    ///< wall-clock solve latency, -1 = none
   double commit_ms = -1.0;   ///< wall-clock commit latency, -1 = none

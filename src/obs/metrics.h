@@ -13,8 +13,7 @@
 // against the exact nearest-rank Percentile()).
 //
 // Thread safety: Add()/Increment() are lock-free atomics, safe from any
-// thread (the solver workers record into the same histogram the loop
-// thread reads). Reads are racy-but-coherent snapshots — each field is
+// thread. Reads are racy-but-coherent snapshots — each field is
 // atomically read, the set may straddle concurrent updates; callers
 // wanting a consistent view quiesce writers first (every current caller
 // reads after the run).

@@ -8,9 +8,8 @@
 // Design constraints, in priority order:
 //  * Zero mutexes on the emitting thread. A span emit is two
 //    steady_clock reads plus a handful of relaxed atomic stores into a
-//    thread-local ring slot; publication is one release store. The
-//    event-loop thread and the solver workers never contend on
-//    anything.
+//    thread-local ring slot; publication is one release store.
+//    Emitting threads never contend on anything.
 //  * Near-zero cost when tracing is off. The disabled fast path is a
 //    single relaxed atomic load — the closed-loop bench gates the
 //    events/s regression at < 3% (ARCHITECTURE.md §7 has the budget).

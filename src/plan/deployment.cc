@@ -437,45 +437,4 @@ DeploymentDelta DiffDeployments(const Deployment& base,
   return delta;
 }
 
-Status ApplyDeploymentDelta(const DeploymentDelta& delta,
-                            Deployment* deployment) {
-  // Removals first, so freed capacity and slots are available to the
-  // additions below (the delta's source deployment interleaved them).
-  for (const auto& [from, to, s] : delta.flows_removed) {
-    if (!deployment->HasFlow(from, to, s)) continue;  // already gone
-    SQPR_RETURN_IF_ERROR(deployment->RemoveFlow(from, to, s));
-  }
-  for (const auto& [h, o] : delta.ops_removed) {
-    if (!deployment->RunsOperator(h, o)) continue;  // already gone
-    SQPR_RETURN_IF_ERROR(deployment->RemoveOperator(h, o));
-  }
-  for (const DeploymentDelta::ServingChange& change : delta.serving_changes) {
-    const HostId current = deployment->ServingHost(change.stream);
-    // Idempotent: an earlier commit (solved from the same snapshot)
-    // already made this exact move — e.g. two proposals migrating the
-    // same shared-support query identically.
-    if (current == change.after) continue;
-    if (current != change.before) {
-      return Status::FailedPrecondition(
-          "serving of stream " + std::to_string(change.stream) +
-          " changed since the delta was computed");
-    }
-    if (change.before != kInvalidHost) {
-      SQPR_RETURN_IF_ERROR(deployment->ClearServing(change.stream));
-    }
-    if (change.after != kInvalidHost) {
-      SQPR_RETURN_IF_ERROR(deployment->SetServing(change.stream, change.after));
-    }
-  }
-  for (const auto& [h, o] : delta.ops_added) {
-    if (deployment->RunsOperator(h, o)) continue;  // shared with another plan
-    SQPR_RETURN_IF_ERROR(deployment->PlaceOperator(h, o));
-  }
-  for (const auto& [from, to, s] : delta.flows_added) {
-    if (deployment->HasFlow(from, to, s)) continue;  // shared
-    SQPR_RETURN_IF_ERROR(deployment->AddFlow(from, to, s));
-  }
-  return Status::OK();
-}
-
 }  // namespace sqpr

@@ -18,13 +18,12 @@
 namespace sqpr {
 
 /// A host × stream availability snapshot (the derived y_hs of §III),
-/// carrying its own stream-count stride. The stride matters for thread
-/// safety: worker-thread solves read a shared Catalog that the event
-/// loop may be growing concurrently (speculative arrival interning), so
-/// a consumer must index the bitmap with the catalog size *at build
-/// time*, never with a fresh Catalog::num_streams() read. Streams
-/// interned after the snapshot are trivially not grounded anywhere,
-/// which at() encodes by returning false for out-of-stride ids.
+/// carrying its own stream-count stride. The catalog may grow after the
+/// map is built, so a consumer must index the bitmap with the catalog
+/// size *at build time*, never with a fresh Catalog::num_streams() read.
+/// Streams interned after the snapshot are trivially not grounded
+/// anywhere, which at() encodes by returning false for out-of-stride
+/// ids.
 struct GroundedMap {
   int num_hosts = 0;
   /// Catalog stream count when the map was built (the row stride).
@@ -201,10 +200,9 @@ class Deployment {
 
 /// The difference between two deployments over the same cluster and
 /// catalog, expressed as the mutator calls that turn `base` into `next`.
-/// This is the unit of work a speculative (worker-thread) solve hands
-/// back to the event loop: the solve edits a private copy of the
-/// committed state, and the loop thread later re-applies the diff to the
-/// live state — which may have drifted — via ApplyDeploymentDelta.
+/// The planning service diffs the committed state around each admission
+/// solve and feeds the delta to its plan-reuse cache (PlanCache), which
+/// then updates in O(delta) instead of re-scanning the deployment.
 struct DeploymentDelta {
   struct ServingChange {
     StreamId stream = kInvalidStream;
@@ -230,21 +228,6 @@ struct DeploymentDelta {
 /// (hosts, then streams ascending), so equal inputs yield equal deltas.
 DeploymentDelta DiffDeployments(const Deployment& base,
                                 const Deployment& next);
-
-/// Re-applies a delta to a deployment that may have drifted since the
-/// delta was computed. Additions already present and removals already
-/// gone are skipped (another commit got there first — shared reuse);
-/// a serving change whose `before` no longer matches, or an addition the
-/// mutators reject, returns FailedPrecondition: the delta conflicts with
-/// the drift and the caller should fall back to a fresh solve. On any
-/// error the deployment is left partially modified — apply to a scratch
-/// copy and swap on success (Deployment is a value type).
-///
-/// Note: this re-checks *structural* applicability only; callers must
-/// run Deployment::Validate() afterwards to audit groundedness and
-/// resource budgets before adopting the result.
-Status ApplyDeploymentDelta(const DeploymentDelta& delta,
-                            Deployment* deployment);
 
 }  // namespace sqpr
 

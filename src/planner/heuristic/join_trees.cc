@@ -71,8 +71,8 @@ Result<std::vector<std::unique_ptr<JoinTree>>> EnumerateJoinTrees(
   // Copy for clarity; catalog entries have stable addresses, so the
   // interning TreesOver does below could not invalidate the reference.
   // On a warmed query (SqprPlanner::WarmCatalog) every JoinOperator
-  // call here is a canonical-map hit — no new ids, which is what lets
-  // the greedy fallback run on worker threads deterministically.
+  // call here is a canonical-map hit — no new ids, so the greedy
+  // fallback never moves StreamId assignment.
   const std::vector<StreamId> leaves = catalog->stream(query).leaves;
   if (leaves.size() > 8) {
     return Status::InvalidArgument(

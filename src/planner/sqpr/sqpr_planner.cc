@@ -372,92 +372,6 @@ Status SqprPlanner::WarmCatalog(StreamId query) {
   return catalog_->JoinClosure(query).status();
 }
 
-Result<AdmissionProposal> SqprPlanner::ProposeAdmission(
-    StreamId query) const {
-  if (query < 0 || query >= catalog_->num_streams()) {
-    return Status::InvalidArgument("unknown stream " + std::to_string(query));
-  }
-  SQPR_TRACE_SPAN("planner/propose");
-  // Solve on a private scratch planner seeded with the committed state;
-  // *this stays untouched, so concurrent proposals may share it.
-  SqprPlanner scratch(cluster_, catalog_, options_);
-  scratch.deployment_ = deployment_;
-  scratch.admitted_ = admitted_;
-
-  AdmissionProposal proposal;
-  proposal.query = query;
-  proposal.base_version = deployment_.structure_version();
-  Result<PlanningStats> stats = scratch.SubmitQuery(query);
-  if (!stats.ok()) return stats.status();
-  proposal.stats = *stats;
-  if (stats->admitted && !stats->already_served) {
-    proposal.delta = DiffDeployments(deployment_, scratch.deployment_);
-  }
-  return proposal;
-}
-
-Result<PlanningStats> SqprPlanner::CommitProposal(
-    const AdmissionProposal& proposal) {
-  if (proposal.query < 0 || proposal.query >= catalog_->num_streams()) {
-    return Status::InvalidArgument("unknown stream " +
-                                   std::to_string(proposal.query));
-  }
-  SQPR_TRACE_SPAN("planner/commit");
-  PlanningStats stats = proposal.stats;
-  if (deployment_.ServingHost(proposal.query) != kInvalidHost) {
-    // Someone (an earlier commit, a cache fast path) admitted an
-    // equivalent query meanwhile: free dedup, nothing to apply. A fresh
-    // inline solve at this point would dedup identically — and would
-    // not have run a MILP — so taking this path before the version gate
-    // keeps the commit equal to an inline solve.
-    stats.admitted = true;
-    stats.already_served = true;
-    return stats;
-  }
-  if (proposal.base_version != deployment_.structure_version()) {
-    // Strict staleness gate: the committed state structurally diverged
-    // from the state the proposal was solved against, so the delta may
-    // encode decisions (placements, reuse) a fresh solve of the live
-    // state would not make. Nothing is adopted; the caller re-solves
-    // inline.
-    return Status::FailedPrecondition(
-        "proposal for stream " + std::to_string(proposal.query) +
-        " solved against structure version " +
-        std::to_string(proposal.base_version) + ", committed state is at " +
-        std::to_string(deployment_.structure_version()));
-  }
-  if (!stats.admitted || stats.already_served) {
-    // The solve rejected the query — or saw it as already served against
-    // a state where it no longer is. Either way nothing commits; report
-    // a rejection so the caller can re-plan it.
-    stats.admitted = false;
-    stats.already_served = false;
-    return stats;
-  }
-
-  // Merge into a scratch copy and audit before adopting, so a conflict
-  // leaves the committed state untouched.
-  Deployment merged = deployment_;
-  const Status applied = ApplyDeploymentDelta(proposal.delta, &merged);
-  if (!applied.ok()) {
-    return Status::FailedPrecondition(
-        "proposal for stream " + std::to_string(proposal.query) +
-        " no longer applies: " + applied.ToString());
-  }
-  const Status valid = merged.Validate();
-  if (!valid.ok()) {
-    return Status::FailedPrecondition(
-        "proposal for stream " + std::to_string(proposal.query) +
-        " invalid against drifted state: " + valid.ToString());
-  }
-  deployment_ = std::move(merged);
-  if (std::find(admitted_.begin(), admitted_.end(), proposal.query) ==
-      admitted_.end()) {
-    admitted_.push_back(proposal.query);
-  }
-  return stats;
-}
-
 Result<std::vector<PlanningStats>> SqprPlanner::ReplanQueries(
     const std::vector<StreamId>& queries) {
   // §IV-B: remove the drifted queries, then re-admit them one by one

@@ -26,27 +26,6 @@ namespace sqpr {
 ///    used, or the query rejected if none admits it (§IV-C);
 ///  * batched submission with an n-fold timeout (Fig. 4(b));
 ///  * adaptive re-planning by removing and re-adding queries (§IV-B).
-/// A side-effect-free admission solve, produced by ProposeAdmission —
-/// possibly on a worker-pool thread — and applied later, on the thread
-/// owning the planner, by CommitProposal. `delta` is relative to the
-/// committed deployment the proposal was solved against; it is empty
-/// when the solve did not admit the query.
-struct AdmissionProposal {
-  StreamId query = kInvalidStream;
-  PlanningStats stats;
-  DeploymentDelta delta;
-  /// Deployment::structure_version() of the committed state the solve ran
-  /// against. CommitProposal fails FailedPrecondition on *any* mismatch:
-  /// between service barriers, structural mutations are the only way the
-  /// solve-relevant state changes (rate installs happen solely inside
-  /// barrier handlers, which retire every in-flight round first), so
-  /// version equality attests the proposal's base state is bit-identical
-  /// to the live state — the condition under which committing the delta
-  /// equals re-solving inline. Anything weaker would let the moment a
-  /// solve happened to start change committed plans.
-  uint64_t base_version = 0;
-};
-
 class SqprPlanner : public Planner {
  public:
   struct Options {
@@ -134,46 +113,14 @@ class SqprPlanner : public Planner {
   Result<std::vector<PlanningStats>> ReplanQueries(
       const std::vector<StreamId>& queries);
 
-  // ---- Speculative solves (worker pool and loop thread alike). ----
-  //
-  // Concurrency contract: ProposeAdmission never mutates the planner or
-  // the shared catalog/cluster, so any number of calls may run in
-  // parallel on an *immutable* planner — provided (a) WarmCatalog(query)
-  // was called first (it pre-interns every stream and operator a solve
-  // for `query` can touch, making the solve's catalog accesses pure
-  // reads — and, since StreamIds are assigned in interning order,
-  // keeping id assignment at a deterministic point instead of at the
-  // workers' mercy), and (b) nobody mutates the cluster or this planner
-  // while the calls are in flight. Catalog *interning* may proceed
-  // concurrently — it is internally synchronised and publishes entries
-  // atomically (the planning service's speculative arrival solves rely
-  // on exactly this) — but Catalog::UpdateBaseRate may not: it rewrites
-  // published entries and requires all solves quiesced. The planning
-  // service enforces all of this (see docs/ARCHITECTURE.md): it hands
-  // worker solves a const copy of the planner taken at dispatch, which
-  // the loop thread never touches again.
-
   /// Pre-interns the join closure of `query` (every subset stream and
   /// binary split operator) so that a subsequent solve for it — MILP
   /// relevant-set construction and greedy-fallback join-tree enumeration
-  /// alike — performs no catalog writes. Call on the thread that owns
-  /// event ordering (the service's loop thread): interning is
-  /// thread-safe, but *when* it happens decides StreamId assignment,
-  /// which replay determinism pins to logical points.
+  /// alike — performs no catalog writes. *When* interning happens decides
+  /// StreamId assignment, which replay determinism pins to logical
+  /// points: the planning service warms a re-planning round's queries
+  /// when it pops the round, one event before it solves them.
   Status WarmCatalog(StreamId query);
-
-  /// Solves admission for `query` against a private copy of the
-  /// committed state and returns the stats plus the deployment delta the
-  /// solve would commit, without mutating the planner.
-  Result<AdmissionProposal> ProposeAdmission(StreamId query) const;
-
-  /// Applies a proposal's delta to the committed state. Returns
-  /// FailedPrecondition when the deployment drifted since the proposal
-  /// was solved such that the delta no longer applies cleanly (structural
-  /// conflict, or the merged state fails the §III audit); the caller
-  /// should then fall back to a fresh synchronous solve. A proposal whose
-  /// solve rejected the query commits nothing and reports the rejection.
-  Result<PlanningStats> CommitProposal(const AdmissionProposal& proposal);
 
   // ---- Checkpoint support (src/service/checkpoint.h). ----
 
@@ -181,8 +128,7 @@ class SqprPlanner : public Planner {
   /// reconstruction only: the restorer replays the checkpointed
   /// structure through the ordinary mutators, calls
   /// RefreshAccounting() to canonicalize the ledger floats, then
-  /// reinstates the version counters. Never call while proposals are in
-  /// flight.
+  /// reinstates the version counters.
   Deployment* mutable_deployment() { return &deployment_; }
 
   /// Reinstates the admitted-query list (submission order) alongside a

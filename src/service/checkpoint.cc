@@ -285,7 +285,7 @@ Status DecodeTrajectory(const JsonValue& v, RateTrajectory* t,
 // ---------------------------------------------------------------------------
 
 Result<std::string> PlanningService::ExportCheckpoint() {
-  // A checkpoint is a barrier: commit the in-flight round exactly as a
+  // A checkpoint is a barrier: commit the pending round exactly as a
   // monitor report would, bring the reuse index up to date and
   // canonicalize the deployment's ledger floats (RecomputeAggregates
   // rebuilds them from the catalog in one fixed order, erasing any

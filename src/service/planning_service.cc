@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "common/deadline.h"
@@ -46,17 +45,6 @@ PlanningService::PlanningService(Cluster* cluster, Catalog* catalog,
       cache_(catalog),
       scheduler_(options.replan) {
   SQPR_CHECK(cluster != nullptr && catalog != nullptr);
-  if (options_.replan.workers > 0) {
-    int threads = options_.replan.workers;
-    if (options_.replan.clamp_workers_to_cores) {
-      const int cores =
-          static_cast<int>(std::thread::hardware_concurrency());
-      if (cores > 0) threads = std::min(threads, cores);
-    }
-    pool_ = std::make_unique<ThreadPool>(threads, [](int i) {
-      obs::TraceRecorder::SetCurrentThreadName("worker-" + std::to_string(i));
-    });
-  }
   if (options_.closed_loop) {
     telemetry_ =
         std::make_unique<MeasurementEngine>(catalog, options_.telemetry);
@@ -95,8 +83,6 @@ void ServiceMetricsPublisher::Publish(const ServiceStats& stats) {
   Bump("service.analytic_ticks", stats.analytic_ticks, &last_.analytic_ticks);
   Bump("service.cache_delta_updates", stats.cache_delta_updates,
        &last_.cache_delta_updates);
-  Bump("service.snapshot_bytes_copied", stats.snapshot_bytes_copied,
-       &last_.snapshot_bytes_copied);
   Bump("service.evictions", stats.evictions, &last_.evictions);
   Bump("service.replan_rounds", stats.replan_rounds, &last_.replan_rounds);
   Bump("service.replanned_admitted", stats.replanned_admitted,
@@ -105,9 +91,6 @@ void ServiceMetricsPublisher::Publish(const ServiceStats& stats) {
        &last_.replanned_rejected);
   Bump("service.replan_dispatches", stats.replan_dispatches,
        &last_.replan_dispatches);
-  Bump("service.commit_conflicts", stats.commit_conflicts,
-       &last_.commit_conflicts);
-  Bump("service.round_unwinds", stats.round_unwinds, &last_.round_unwinds);
   Bump("service.overlapped_arrival_solves", stats.overlapped_arrival_solves,
        &last_.overlapped_arrival_solves);
   Bump("service.catalog_exhausted", stats.catalog_exhausted,
@@ -123,14 +106,11 @@ void ServiceMetricsPublisher::Publish(const ServiceStats& stats) {
        &last_.solve_budget_breaches);
   Bump("service.commit_budget_breaches", stats.commit_budget_breaches,
        &last_.commit_budget_breaches);
-  Bump("service.barrier_budget_breaches", stats.barrier_budget_breaches,
-       &last_.barrier_budget_breaches);
   Bump("service.measure_budget_breaches", stats.measure_budget_breaches,
        &last_.measure_budget_breaches);
   *registry_->histogram("service.admit_ms") = stats.admit_ms;
   *registry_->histogram("service.solve_ms") = stats.solve_ms;
   *registry_->histogram("service.commit_ms") = stats.commit_ms;
-  *registry_->histogram("service.barrier_ms") = stats.barrier_ms;
   *registry_->histogram("service.measure_ms") = stats.measure_ms;
 }
 
@@ -233,13 +213,12 @@ Result<EventOutcome> PlanningService::Step() {
   outcome.event = event;
   ++stats_.events;
 
-  // Handlers below mutate *published* state the worker solves read
-  // through shared pointers — measured-rate installation rewrites
-  // catalog entries in place, failure/join swaps host specs — so they
-  // must commit the in-flight round first. (Arrivals are exempt: they
-  // only *intern*, which the catalog synchronises internally.) This
-  // barrier is also what keeps replays deterministic: rounds commit at
-  // fixed logical points, never "when the solve happens to finish".
+  // Handlers below change what a solve reads — measured-rate
+  // installation rewrites catalog rates, failure/join swap host specs —
+  // so they commit the pending round first, against the state it was
+  // popped in. (Arrivals are exempt: they are admitted ahead of the
+  // round.) Rounds commit at fixed logical points, which keeps replays
+  // deterministic.
   switch (event.kind) {
     case EventKind::kHostFailure:
     case EventKind::kHostJoin:
@@ -452,10 +431,8 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
     }
   }
 
-  // Authoritative dedup (Algorithm 1 line 3), cheap and before any
-  // speculation: a served stream's repeat arrival must not pay the
-  // planner-copy of a speculative solve (or count as an overlapped
-  // solve) just to discover it was a duplicate.
+  // Authoritative dedup (Algorithm 1 line 3), cheap and before the
+  // solve: a served stream's repeat arrival must not count as a solve.
   if (deployment().ServingHost(query) != kInvalidHost) {
     PlanningStats dedup;
     dedup.admitted = true;
@@ -467,17 +444,10 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
     return dedup;
   }
 
-  // Cache miss: speculative solve on the loop thread, overlapping the
-  // in-flight re-planning round. WarmCatalog pre-interns the query's
-  // join closure — the only catalog *writes* a solve needs, performed
-  // here on the loop thread so StreamId assignment stays at a
-  // deterministic point (interning itself is thread-safe; workers
-  // reading the catalog concurrently only ever see published entries).
-  // The solve then runs against a private copy of the committed state
-  // and commits its delta immediately; the in-flight round keeps solving
-  // throughout and reconciles at its own commit point (conflicts
-  // re-solved). A conflict re-solve of that round runs after the round
-  // left flight, so it never counts as overlapped.
+  // Cache miss: solve in place. WarmCatalog interns the query's join
+  // closure first, so StreamId assignment happens at this deterministic
+  // point (a round's queries were already warmed when it was popped).
+  // An arrival admitted here goes ahead of the pending round.
   if (inflight_) ++stats_.overlapped_arrival_solves;
   const Status warmed = WarmCatalogLogged(query);
   if (!warmed.ok()) {
@@ -486,69 +456,20 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
                 &stats_.admit_budget_breaches);
     return warmed;
   }
-  Result<AdmissionProposal> proposal = planner_.ProposeAdmission(query);
-  if (!proposal.ok()) {
-    SampleStage(&stats_.admit_ms, watch.ElapsedMillis(),
-                options_.watchdog.admit_budget_ms,
-                &stats_.admit_budget_breaches);
-    return proposal.status();
-  }
-
-  if (options_.inject_between_propose_and_commit) {
-    options_.inject_between_propose_and_commit(planner_);
-  }
-  Stopwatch commit_watch;
-  double solve_wall_ms = proposal->stats.wall_ms;
-  bool committed_via_delta = true;
-  Result<PlanningStats> stats = planner_.CommitProposal(*proposal);
-  SampleStage(&stats_.commit_ms, commit_watch.ElapsedMillis(),
-              options_.watchdog.commit_budget_ms,
-              &stats_.commit_budget_breaches);
-  if (!stats.ok() && stats.status().IsFailedPrecondition()) {
-    // The strict version gate bounced the proposal: only test injection
-    // can land a commit between this propose and commit. Re-solve as a
-    // fresh propose/commit pair against the live state — adjacent on
-    // the loop thread, so the retry cannot conflict again — and sample
-    // each leg where an inline solve would have: the fresh solve's wall
-    // time into solve_ms, the fresh commit's into commit_ms, so
-    // conflict re-solves are indistinguishable in the histograms from
-    // solves that never conflicted. (The bounced proposal's solve time
-    // was thrown away with the proposal; its failed commit was already
-    // sampled above, like any other commit attempt.)
-    ++stats_.commit_conflicts;
-    committed_via_delta = false;
-    Result<AdmissionProposal> fresh = planner_.ProposeAdmission(query);
-    if (fresh.ok()) {
-      solve_wall_ms = fresh->stats.wall_ms;
-      Stopwatch retry_watch;
-      stats = planner_.CommitProposal(*fresh);
-      SampleStage(&stats_.commit_ms, retry_watch.ElapsedMillis(),
-                  options_.watchdog.commit_budget_ms,
-                  &stats_.commit_budget_breaches);
-    } else {
-      stats = fresh.status();
-    }
-  }
+  const Deployment before = deployment();
+  Result<PlanningStats> stats = planner_.SubmitQuery(query);
   if (stats.ok()) {
     CountSolveStats(*stats);
     AuditDeadlineBreach(query, *stats);
-    if (!stats->already_served && !stats->via_cache) {
-      SampleStage(&stats_.solve_ms, solve_wall_ms,
-                  options_.watchdog.solve_budget_ms,
-                  &stats_.solve_budget_breaches);
-    }
-    if (stats->admitted && !stats->already_served) {
-      // The committed delta is exactly what the reuse index must learn.
-      // After a conflict, deliberately schedule a full rebuild instead
-      // of feeding the retry's delta: the bounced proposal is evidence
-      // this admission raced other committed changes, and the rebuild's
-      // grounded fixpoint re-derives the index from the merged truth
-      // rather than trusting a delta chain across the conflict.
-      if (committed_via_delta) {
-        MarkCacheDelta(proposal->delta);
-      } else {
-        MarkCacheRebuild();
-      }
+    SampleStage(&stats_.solve_ms, stats->wall_ms,
+                options_.watchdog.solve_budget_ms,
+                &stats_.solve_budget_breaches);
+    // The solve commits its MILP solution even when it rejects the
+    // query (placements of admitted queries may move), so the reuse
+    // index learns whatever net change it made.
+    if (deployment().structure_version() != before.structure_version()) {
+      const DeploymentDelta delta = DiffDeployments(before, deployment());
+      if (!delta.empty()) MarkCacheDelta(delta);
     }
   }
   SampleStage(&stats_.admit_ms, watch.ElapsedMillis(),
@@ -903,14 +824,9 @@ Status PlanningService::HandleSelfMeasurement(EventOutcome* outcome) {
 }
 
 void PlanningService::DrainReplanRounds(EventOutcome* outcome) {
-  // Commit the in-flight round — dispatched one event ago; with workers
-  // it had that event's entire processing to solve in the background —
-  // then dispatch the next one against the state as of *this* event's
-  // mutations. Committing before dispatching means a round dispatched
-  // here never commits here: its commit point is the next event.
-  // Identical for every worker count: with workers == 0 the dispatch
-  // below solves synchronously, producing exactly the proposals a pool
-  // would have computed from a planner copy taken at the same point.
+  // Commit the pending round — popped one event ago — then pop the next
+  // one. Committing before popping means a round popped here never
+  // commits here: its commit point is the next event.
   CommitInFlightRound(outcome);
   DispatchReplanRound();
 }
@@ -922,52 +838,14 @@ void PlanningService::DispatchReplanRound() {
   InFlightRound flight;
   flight.id = next_round_id_++;
   flight.queries = scheduler_.NextRound();
-  // Pre-intern, on this thread, everything a solve for these queries
-  // can touch in the shared catalog. This keeps StreamId assignment at
-  // a deterministic point (worker scheduling must never decide intern
-  // order) and makes the round's catalog accesses pure reads.
+  // Intern everything a solve for these queries can touch now: the
+  // warm log (and with it StreamId assignment) follows the round
+  // schedule, not the commit order.
   for (StreamId q : flight.queries) {
     const Status warmed = WarmCatalogLogged(q);
     if (!warmed.ok()) {
       SQPR_LOG_WARN << "warming catalog for query " << q
                     << " failed: " << warmed.ToString();
-    }
-  }
-  flight.proposals = std::make_shared<std::vector<Result<AdmissionProposal>>>(
-      flight.queries.size(),
-      Result<AdmissionProposal>(Status::Internal("not solved yet")));
-  flight.latch = std::make_shared<Latch>(
-      static_cast<int>(flight.queries.size()));
-  if (pool_ == nullptr) {
-    // Inline mode: the speculative solves run right here against the
-    // live planner — the same inputs a planner copy taken at this point
-    // would give a worker, so the proposals (and everything downstream
-    // of the shared commit path) are bit-identical across worker counts.
-    for (size_t i = 0; i < flight.queries.size(); ++i) {
-      (*flight.proposals)[i] = planner_.ProposeAdmission(flight.queries[i]);
-      flight.latch->CountDown();
-    }
-  } else {
-    // The workers solve against a const copy of the committed planner:
-    // the loop thread keeps mutating the live one while they run.
-    {
-      SQPR_TRACE_SPAN_ARGS(copy_span, "service/snapshot.make", "bytes_copied",
-                           nullptr);
-      flight.planner = std::make_shared<const SqprPlanner>(planner_);
-      const size_t bytes =
-          planner_.deployment().ApproxSizeBytes() +
-          planner_.admitted_queries().size() * sizeof(StreamId);
-      copy_span.set_args(bytes);
-      stats_.snapshot_bytes_copied += static_cast<int64_t>(bytes);
-    }
-    for (size_t i = 0; i < flight.queries.size(); ++i) {
-      // Tasks capture the shared state by value, never `this`: the
-      // pool's destructor (which drains and joins) is then always safe.
-      pool_->Submit([planner = flight.planner, proposals = flight.proposals,
-                     latch = flight.latch, i, query = flight.queries[i]] {
-        (*proposals)[i] = planner->ProposeAdmission(query);
-        latch->CountDown();
-      });
     }
   }
   span.set_args(flight.id, flight.queries.size());
@@ -981,7 +859,7 @@ void PlanningService::DispatchReplanRound() {
   }
   inflight_ = std::move(flight);
   ++stats_.replan_dispatches;
-  // Crash point: a round has been dispatched but not committed. A
+  // Crash point: a round has been popped but not committed. A
   // checkpoint taken before this event never saw the round, so restore
   // re-derives it from the scheduler groups.
   fault::MaybeCrash("mid-round");
@@ -989,26 +867,19 @@ void PlanningService::DispatchReplanRound() {
 
 void PlanningService::CommitInFlightRound(EventOutcome* outcome) {
   if (!inflight_) return;
-  // Out of flight before any conflict re-solve below calls Admit.
+  // Out of flight before the admissions below, so none of them counts
+  // as overlapping a pending round.
   InFlightRound flight = std::move(*inflight_);
   inflight_.reset();
 
   SQPR_TRACE_SPAN_ARGS(span, "service/round.commit", "round", "queries");
   span.set_args(flight.id, flight.queries.size());
-  Stopwatch wait;
-  {
-    SQPR_TRACE_SPAN("service/round.barrier");
-    flight.latch->Wait();
-  }
-  const double barrier_wall_ms = wait.ElapsedMillis();
-  SampleStage(&stats_.barrier_ms, barrier_wall_ms,
-              options_.watchdog.barrier_budget_ms,
-              &stats_.barrier_budget_breaches);
+  Stopwatch commit_watch;
 
   ++stats_.replan_rounds;
   // Canonical round sequencing: a round that commits with at least one
   // un-departed query consumes the next sequence number; a round whose
-  // every query departed in flight does not.
+  // every query departed before its commit does not.
   std::vector<int64_t> live;
   for (StreamId q : flight.queries) {
     if (flight.discards.count(q) == 0) live.push_back(q);
@@ -1022,15 +893,13 @@ void PlanningService::CommitInFlightRound(EventOutcome* outcome) {
     round_r.detail = static_cast<int64_t>(live.size());
     round_r.streams = live;
     round_r.dispatch_id = flight.id;
-    round_r.commit_ms = barrier_wall_ms;
     AuditFingerprint(&round_r, /*post=*/false);
   }
-  for (size_t i = 0; i < flight.queries.size(); ++i) {
-    const StreamId q = flight.queries[i];
-    const Result<AdmissionProposal>& proposal = (*flight.proposals)[i];
+  for (StreamId q : flight.queries) {
     if (flight.discards.count(q) > 0) {
-      // Departed after dispatch: drop the proposal — the async twin of
-      // the scheduler discard (audited there), hence speculative here.
+      // Departed after the round was popped: skip it — the pending-round
+      // twin of the scheduler discard (audited there), hence
+      // speculative here.
       if (AuditOn()) {
         obs::AuditRecord r = AuditBase("replan.discard");
         r.speculative = true;
@@ -1041,91 +910,38 @@ void PlanningService::CommitInFlightRound(EventOutcome* outcome) {
       continue;
     }
 
-    bool resolved = false;
-    bool admitted = false;
-    bool solve_failed = false;
-    double solve_wall_ms = -1.0;
-    double commit_wall_ms = -1.0;
-    if (proposal.ok()) {
-      solve_wall_ms = proposal->stats.wall_ms;
-      SampleStage(&stats_.solve_ms, solve_wall_ms,
-                  options_.watchdog.solve_budget_ms,
-                  &stats_.solve_budget_breaches);
-      Stopwatch commit_watch;
-      Result<PlanningStats> committed = planner_.CommitProposal(*proposal);
-      commit_wall_ms = commit_watch.ElapsedMillis();
-      SampleStage(&stats_.commit_ms, commit_wall_ms,
-                  options_.watchdog.commit_budget_ms,
-                  &stats_.commit_budget_breaches);
-      if (committed.ok()) {
-        resolved = true;
-        CountSolveStats(*committed);
-        AuditDeadlineBreach(q, *committed);
-        admitted = committed->admitted;
-        if (admitted && !committed->already_served) {
-          MarkCacheDelta(proposal->delta);
-        }
-      } else if (!committed.status().IsFailedPrecondition()) {
-        // Hard error (malformed input) — mirrors an inline solve error.
-        SQPR_LOG_WARN << "committing proposal for query " << q
-                      << " failed: " << committed.status().ToString();
-        resolved = true;
-        solve_failed = true;
-      }
-      // FailedPrecondition: the strict version gate found the committed
-      // state structurally diverged from the proposal's base — an
-      // arrival, a departure with fallout or an earlier commit in this
-      // round. Fall through to a synchronous re-solve against the live
-      // state — still deterministic, since it depends only on the
-      // commit order.
-    } else {
-      SQPR_LOG_WARN << "speculative solve for query " << q
-                    << " failed: " << proposal.status().ToString();
-      resolved = true;
-      solve_failed = true;
+    const Result<PlanningStats> stats = Admit(q, nullptr);
+    const bool admitted = stats.ok() && stats->admitted;
+    if (!stats.ok()) {
+      SQPR_LOG_WARN << "re-planning query " << q
+                    << " failed: " << stats.status().ToString();
     }
-
-    if (!resolved) {
-      ++stats_.commit_conflicts;
-      // The conflict is a speculation artifact, so the record is
-      // speculative; the resolution below lands in the canonical
-      // per-query record.
-      if (AuditOn()) {
-        obs::AuditRecord r = AuditBase("replan.conflict");
-        r.speculative = true;
-        r.query = q;
-        r.round = round_seq;
-        r.dispatch_id = flight.id;
-        AuditAppend(std::move(r));
-      }
-      Result<PlanningStats> stats = Admit(q, nullptr);
-      admitted = stats.ok() && stats->admitted;
-      solve_failed = !stats.ok();
-      if (stats.ok()) solve_wall_ms = stats->wall_ms;
-    }
-
     if (admitted) {
       ++outcome->replanned_admitted;
       ++stats_.replanned_admitted;
     } else {
       ++outcome->replanned_rejected;
       ++stats_.replanned_rejected;
-      if (!solve_failed) RememberRejected(q);
+      if (stats.ok()) RememberRejected(q);
     }
 
     if (AuditOn()) {
-      obs::AuditRecord r = AuditBase(admitted ? "replan.admit"
-                                    : solve_failed ? "replan.fail"
-                                                   : "replan.reject");
+      obs::AuditRecord r = AuditBase(admitted      ? "replan.admit"
+                                     : stats.ok() ? "replan.reject"
+                                                  : "replan.fail");
       r.query = q;
       r.round = round_seq;
-      r.solve_ms = solve_wall_ms;
-      r.commit_ms = commit_wall_ms;
+      if (stats.ok()) r.solve_ms = stats->wall_ms;
       r.dispatch_id = flight.id;
       AuditAppend(std::move(r));
     }
   }
+  const double commit_wall_ms = commit_watch.ElapsedMillis();
+  SampleStage(&stats_.commit_ms, commit_wall_ms,
+              options_.watchdog.commit_budget_ms,
+              &stats_.commit_budget_breaches);
   if (AuditOn() && !live.empty()) {
+    round_r.commit_ms = commit_wall_ms;
     AuditFingerprint(&round_r, /*post=*/true);
     AuditAppend(std::move(round_r));
   }

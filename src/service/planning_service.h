@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/task_queue.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
 #include "model/catalog.h"
@@ -44,7 +42,6 @@ struct WatchdogOptions {
   double admit_budget_ms = 0.0;
   double solve_budget_ms = 0.0;
   double commit_budget_ms = 0.0;
-  double barrier_budget_ms = 0.0;
   double measure_budget_ms = 0.0;
 };
 
@@ -70,19 +67,11 @@ struct ServiceOptions {
   /// kRateDirective events steer the ground truth.
   bool closed_loop = false;
   TelemetryOptions telemetry;
-  /// Test-only injection point: invoked on the loop thread between an
-  /// arrival's speculative ProposeAdmission and its CommitProposal.
-  /// Mutating the planner here forces the strict version gate to bounce
-  /// the arrival's proposal, driving the conflict-fallback path
-  /// deterministically. Never invoked for the fallback's own re-solve.
-  /// Leave null outside tests.
-  std::function<void(SqprPlanner&)> inject_between_propose_and_commit;
   /// Decision audit journal (null = auditing off, zero cost). Emission
-  /// happens on the loop thread at commit points only, so the canonical
-  /// record stream inherits the determinism contract: byte-identical
-  /// across workers {0,1,4} (see
-  /// obs/audit.h and docs/ARCHITECTURE.md §7). Must outlive the
-  /// service. Auditing reads state and never gates behaviour — replay
+  /// happens at commit points only, so the canonical record stream
+  /// inherits the determinism contract: byte-identical across replays
+  /// and across checkpoint/restore (see obs/audit.h and
+  /// docs/ARCHITECTURE.md §7). Must outlive the service. Auditing reads state and never gates behaviour — replay
   /// fingerprints are bit-identical with it on or off.
   obs::AuditJournal* audit = nullptr;
   /// Stall/SLO watchdog budgets (all off by default).
@@ -144,44 +133,35 @@ struct ServiceStats {
   /// serving-only departures) instead of a full grounded-fixpoint
   /// rebuild. Rebuild/no-op counts live on the PlanCache itself.
   int64_t cache_delta_updates = 0;
-  /// Bytes copied on the loop thread to hand worker-solved rounds their
-  /// input: one planner copy per dispatch, counted as the deployment's
-  /// ApproxSizeBytes() plus the admitted list. Zero with workers == 0,
-  /// whose solves read the live planner.
-  int64_t snapshot_bytes_copied = 0;
   int64_t evictions = 0;
   int64_t replan_rounds = 0;
   int64_t replanned_admitted = 0;
   int64_t replanned_rejected = 0;
-  /// Rounds dispatched for speculative solving (every worker count
-  /// dispatches them; with workers >= 1 the solves go to the pool), and
-  /// proposals that no longer applied at commit time and were re-solved
-  /// synchronously on the loop thread — an arrival or an earlier commit
-  /// in the same round changed the structure the proposal was solved
-  /// against. See docs/ARCHITECTURE.md §4.
+  /// Rounds popped off the scheduler (their catalog closures warmed at
+  /// the end of one event, their queries admitted at the next commit
+  /// point). See docs/ARCHITECTURE.md §4.
   int64_t replan_dispatches = 0;
-  int64_t commit_conflicts = 0;
-  /// Always 0: barriers commit the one round in flight, so no round is
-  /// ever unwound. Kept so existing stats readers and benches keep their
-  /// schema.
-  int64_t round_unwinds = 0;
-  /// Cache-miss arrival solves performed while a re-planning round was
-  /// in flight (dispatched, not yet committed) — the overlap the
-  /// thread-safe catalog buys. Commit points are logical, so the count
-  /// is identical for every worker count; with workers >= 1 each such
-  /// solve genuinely overlaps background solving (the stall the
-  /// pre-speculative service paid as barrier wait), which is the
-  /// latency win bench_service_churn measures.
+  /// Cache-miss arrivals admitted by a solve while a re-planning round
+  /// was pending (popped, not yet committed): arrivals that go ahead of
+  /// the round's queries in commit order. Commit points are logical, so
+  /// the count is a function of the trace alone.
   int64_t overlapped_arrival_solves = 0;
   /// Always 0: the cross-round model cache and root-basis warm starts
   /// were removed, so every MILP solve builds its model from scratch
   /// and the milp/solve span count (perfbench's milp.solves) is the
-  /// build count. Kept so existing stats readers and benches keep their
-  /// schema.
+  /// build count; and the one thread that plans admits every round
+  /// query in place, so no round is solved against a planner copy
+  /// (snapshot_bytes_copied), bounced at commit (commit_conflicts),
+  /// unwound (round_unwinds) or waited for (the empty barrier_ms
+  /// histogram below). Kept so existing stats readers and benches keep
+  /// their schema.
   int64_t model_patches = 0;
   int64_t model_rebuilds = 0;
   int64_t warm_starts = 0;
   int64_t basis_discards = 0;
+  int64_t snapshot_bytes_copied = 0;
+  int64_t commit_conflicts = 0;
+  int64_t round_unwinds = 0;
   /// Arrivals rejected because the catalog's bounded stores could not
   /// intern the query's join closure (ResourceExhausted) — a permanent
   /// condition until catalog GC exists, so these queries are *not*
@@ -208,16 +188,15 @@ struct ServiceStats {
   // RunningStats + bounded-sample-window pair the service grew
   // organically — quantiles no longer need sample storage or a re-sort
   // per report.
-  /// One admission through the cache-then-solve path (arrivals and
-  /// re-planning re-solves), excluding any in-flight-round commit it
-  /// triggered — that time is reported under barrier/commit/solve.
+  /// One admission through the cache-then-solve path: an arrival or one
+  /// query of a committing re-planning round.
   obs::Histogram admit_ms;
-  /// Individual planner solves: inline arrival/re-planning solves and
-  /// worker-side speculative solves alike.
+  /// Individual planner solves, arrivals and re-planning rounds alike.
   obs::Histogram solve_ms;
-  /// Applying one worker proposal to the committed state.
+  /// Committing one re-planning round: every live query's admission, in
+  /// round order.
   obs::Histogram commit_ms;
-  /// Loop-thread blocking waits for an in-flight round to finish.
+  /// Always empty (see the always-0 counters above).
   obs::Histogram barrier_ms;
   /// One §IV-C self-measurement (closed loop only): the whole
   /// Measure() call — ClusterSim execution in engine mode, the ledger
@@ -237,7 +216,6 @@ struct ServiceStats {
   int64_t admit_budget_breaches = 0;
   int64_t solve_budget_breaches = 0;
   int64_t commit_budget_breaches = 0;
-  int64_t barrier_budget_breaches = 0;
   int64_t measure_budget_breaches = 0;
 };
 
@@ -285,29 +263,22 @@ class ServiceMetricsPublisher {
 ///                     rates) and feeds it through the same §IV-B path;
 ///   kRateDirective  — install a ground-truth rate trajectory into the
 ///                     closed loop's rate model (ignored open-loop).
-/// Every event ends by committing the in-flight re-admission round and
+/// Every event ends by committing the pending re-admission round and
 /// dispatching the next bounded one, so planning latency per event stays
 /// bounded no matter how large a failure or drift report is.
 ///
-/// Threading: at most one re-planning round is in flight, at *every*
-/// worker count. It is dispatched at the end of event N against a const
-/// copy of the planner and commits at the end of event N+1 (or at an
-/// earlier barrier), so committed deployments are bit-identical across
-/// worker counts. Arrivals committed during event N+1 can make a
-/// proposal stale; the planner's strict structure-version gate bounces
-/// it at commit and the service re-solves it inline against the live
-/// state — deterministic, since it depends only on the commit order (the
-/// commit_conflicts counter). With workers >= 1 the solves
-/// run on a pool while the loop thread keeps consuming events; with
-/// workers == 0 they run synchronously at dispatch against the live
-/// planner — the state the copy would capture. Cache-miss arrivals solve
-/// speculatively on the loop thread (WarmCatalog + ProposeAdmission +
-/// CommitProposal) *without* committing the in-flight round: catalog
-/// interning is internally synchronised and workers only ever read
-/// published entries. Events that mutate state workers read in place —
-/// monitor reports (measured-rate installation), host failure/join
-/// (spec swaps), measuring ticks — commit the in-flight round first.
-/// See docs/ARCHITECTURE.md for the full model and determinism contract.
+/// Threading: one thread plans — the thread that calls Step(). At most
+/// one re-planning round is pending. It is popped off the scheduler at
+/// the end of event N, where its queries' catalog closures are warmed
+/// (the point that fixes StreamId assignment), and it commits at the
+/// end of event N+1 or at an earlier barrier: every live query goes
+/// through Admit, the path arrivals take, in round order. Arrivals
+/// during event N+1 are admitted ahead of the round's queries without
+/// committing it first. Events that change what a solve reads — monitor
+/// reports (measured-rate installation), host failure/join (spec swaps),
+/// measuring ticks — commit the pending round first. Commit points are
+/// logical, so replays are deterministic. See docs/ARCHITECTURE.md for
+/// the full model and determinism contract.
 class PlanningService {
  public:
   /// The service mutates `cluster` (host failure/rejoin) and `catalog`
@@ -325,11 +296,11 @@ class PlanningService {
   Result<EventOutcome> Step();
 
   /// Drains the queue; outcomes are appended when `outcomes` != nullptr.
-  /// Ends by committing the in-flight round.
+  /// Ends by committing the pending round.
   Status RunUntilIdle(std::vector<EventOutcome>* outcomes = nullptr);
 
-  /// Waits for and commits the in-flight round, if any (no-op when
-  /// none), exactly as a barrier event would. Queued backlog stays
+  /// Commits the pending round, if any (no-op when none), exactly as a
+  /// barrier event would. Queued backlog stays
   /// pending. Call after stepping the service manually to a stopping
   /// point.
   void FinishInFlightRound();
@@ -362,8 +333,8 @@ class PlanningService {
   }
   bool HostActive(HostId h) const;
   /// Re-planning candidates not yet resolved: queued in the scheduler
-  /// plus those in flight, minus in-flight queries that departed after
-  /// dispatch (their proposals will be dropped).
+  /// plus those in the pending round, minus its queries that departed
+  /// after it was popped (they are skipped at commit).
   int pending_replans() const {
     int pending = static_cast<int>(scheduler_.pending());
     if (inflight_) {
@@ -372,19 +343,15 @@ class PlanningService {
     }
     return pending;
   }
-  /// Worker threads solving re-planning rounds (0 = solves run on the
-  /// loop thread at dispatch; the rounds and results are identical).
-  int workers() const { return pool_ ? pool_->num_threads() : 0; }
 
   // ---- Crash durability (implemented in src/service/checkpoint.cc;
   // see docs/ARCHITECTURE.md "Durability & degraded modes"). ----
 
   /// Serializes the full service state as a sqpr-checkpoint-v1 JSON
   /// document. A checkpoint is a *barrier*: the call first commits the
-  /// in-flight round, syncs the plan cache and canonicalizes the
+  /// pending round, syncs the plan cache and canonicalizes the
   /// deployment ledgers — the same quiesce every barrier event performs
-  /// — so the serialized state is worker-invariant and the exported
-  /// bytes are byte-identical across worker counts. Restoring
+  /// — so the exported bytes depend only on the events consumed. Restoring
   /// it into a freshly constructed service (same cluster/catalog/
   /// options provenance) and replaying the remaining events produces
   /// bit-identical committed deployments to an uninterrupted run that
@@ -404,29 +371,17 @@ class PlanningService {
   Status RestoreCheckpoint(const std::string& json);
 
  private:
-  /// The re-planning round in flight. With workers, tasks capture the
-  /// shared_ptr state (never `this`), so destruction order is never a
-  /// hazard: the pool joins before anything else is torn down. With
-  /// workers == 0 the proposals are already solved and the latch already
-  /// open when the round enters flight.
+  /// The re-planning round popped but not yet committed.
   struct InFlightRound {
     /// Monotonic dispatch id, tagged onto the round's dispatch/commit
     /// trace spans so a flight recording correlates both ends of one
     /// round.
     int64_t id = 0;
     std::vector<StreamId> queries;
-    /// Queries that departed after this round dispatched; their
-    /// proposals are dropped at commit (the async twin of
+    /// Queries that departed after this round was popped; they are
+    /// skipped at commit (the pending-round twin of
     /// ReplanScheduler::Discard).
     std::set<StreamId> discards;
-    /// Const copy of the planner at dispatch, which the worker solves
-    /// read (null in inline mode, which solves against the live planner
-    /// at dispatch — the same state).
-    std::shared_ptr<const SqprPlanner> planner;
-    /// Slot i is written by the task solving queries[i]; the latch's
-    /// CountDown/Wait pair publishes the writes to the loop thread.
-    std::shared_ptr<std::vector<Result<AdmissionProposal>>> proposals;
-    std::shared_ptr<Latch> latch;
   };
 
   void HandleArrival(const Event& event, EventOutcome* outcome);
@@ -438,14 +393,15 @@ class PlanningService {
   /// Shared §IV-B sink of measured data — scripted monitor reports and
   /// closed-loop self-measurements alike: Analyze, then RunDriftCycle
   /// into the bounded re-planning scheduler. Callers cross the monitor
-  /// barrier (commit the in-flight round) first: the cycle installs
-  /// measured rates in place (Catalog::UpdateBaseRate).
+  /// barrier (commit the pending round) first: the cycle installs
+  /// measured rates (Catalog::UpdateBaseRate) that the round's solves
+  /// must not see.
   Status ApplyMonitorData(const std::map<StreamId, double>& measured_rates,
                           const std::vector<double>& cpu_utilization,
                           EventOutcome* outcome);
 
   /// True on the tick that will fire a closed-loop self-measurement —
-  /// used by Step() to commit the in-flight round first (same barrier a
+  /// used by Step() to commit the pending round first (same barrier a
   /// scripted kMonitorReport crosses).
   bool MeasurementDue() const {
     return telemetry_ != nullptr &&
@@ -456,22 +412,17 @@ class PlanningService {
   /// under the rate model's current truth, then ApplyMonitorData.
   Status HandleSelfMeasurement(EventOutcome* outcome);
 
-  /// End of every Step(): commits the in-flight round (dispatched at the
-  /// end of the previous event), then dispatches the next one against
-  /// the state as of this event's mutations (both worker counts).
+  /// End of every Step(): commits the pending round (popped at the end
+  /// of the previous event), then pops the next one.
   void DrainReplanRounds(EventOutcome* outcome);
 
-  /// Pops the next round off the scheduler, pre-warms the catalog for
-  /// its queries (the deterministic interning point) and solves them
-  /// speculatively: on the worker pool (workers >= 1) or synchronously
-  /// right here (workers == 0).
+  /// Pops the next round off the scheduler and warms the catalog for its
+  /// queries (the deterministic interning point). Nothing is solved yet.
   void DispatchReplanRound();
 
-  /// Blocks until the in-flight round (if any) is solved, then commits
-  /// its proposals in order on the calling (loop) thread; a proposal the
-  /// strict version gate bounces is re-solved synchronously. Also the
-  /// barrier every handler that mutates worker-read state in place
-  /// (measured rates, host specs) crosses first.
+  /// Commits the pending round (if any): admits its live queries in
+  /// order through Admit. Also the barrier every handler that changes
+  /// what a solve reads (measured rates, host specs) crosses first.
   void CommitInFlightRound(EventOutcome* outcome);
 
   // ---- Reuse-index (PlanCache) maintenance. ----
@@ -494,10 +445,9 @@ class PlanningService {
   /// Applies the queued maintenance (end of Step / round commit).
   void SyncPlanCache();
 
-  /// Admits one query; shared by arrivals and re-planning re-solves.
-  /// Tries the plan-cache fast path, then a speculative solve on the
-  /// loop thread (WarmCatalog + ProposeAdmission + CommitProposal) that
-  /// overlaps the in-flight round instead of committing it first. When
+  /// Admits one query; shared by arrivals and re-planning rounds. Tries
+  /// the plan-cache fast path, then the authoritative dedup, then a MILP
+  /// solve on the live planner (WarmCatalog + SubmitQuery). When
   /// `reuse_candidates` is non-null it receives the number of
   /// materialised proper-subquery hits.
   Result<PlanningStats> Admit(StreamId query, int* reuse_candidates);
@@ -515,16 +465,15 @@ class PlanningService {
   void AuditDeadlineBreach(StreamId query, const PlanningStats& stats) const;
 
   /// Folds one solve's degraded-mode telemetry into the aggregate
-  /// counters (loop thread only; worker-side solves are counted when
-  /// their proposals commit).
+  /// counters.
   void CountSolveStats(const PlanningStats& stats);
 
   void RememberRejected(StreamId query);
 
   // ---- Decision audit journal (options_.audit; all no-ops when off).
-  // Canonical records are emitted at commit points only, so the stream
-  // is worker-invariant; anything tied to speculative round state is
-  // marked speculative and excluded from canonical rendering (see
+  // Canonical records are emitted at commit points only; anything tied
+  // to how a round was scheduled rather than what it decided is marked
+  // speculative and excluded from canonical rendering (see
   // obs/audit.h). ----
 
   bool AuditOn() const { return options_.audit != nullptr; }
@@ -542,7 +491,7 @@ class PlanningService {
 
   /// Committed-round sequence for replan.round records: counts rounds
   /// that committed with at least one non-discarded query. A round whose
-  /// every query departed in flight consumes no sequence number.
+  /// every query departed before its commit consumes no sequence number.
   int64_t audit_round_seq_ = 0;
 
   Cluster* cluster_;
@@ -562,8 +511,7 @@ class PlanningService {
   /// re-checks groundedness and SubmitQuery's dedup is authoritative).
   bool cache_rebuild_ = false;
   std::vector<DeploymentDelta> cache_deltas_;
-  /// Closed-loop telemetry (null in open-loop mode). Loop-thread-owned,
-  /// like every other committed-state structure.
+  /// Closed-loop telemetry (null in open-loop mode).
   std::unique_ptr<MeasurementEngine> telemetry_;
   /// Ticks consumed since the last self-measurement.
   int ticks_since_measure_ = 0;
@@ -585,13 +533,9 @@ class PlanningService {
   /// instantly-expired test budget does exactly that).
   std::set<StreamId> deadline_retried_;
 
-  /// The speculative re-planning round in flight, if any (every worker
-  /// count). The pool is declared last so it is destroyed — joining its
-  /// threads — before any other member; tasks only capture the
-  /// shared_ptrs inside InFlightRound, never `this`.
+  /// The pending re-planning round, if any.
   std::optional<InFlightRound> inflight_;
   int64_t next_round_id_ = 0;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace sqpr

@@ -27,8 +27,8 @@ bool ReplanScheduler::Enqueue(StreamId query) {
   }
   groups_.back().push_back(query);
   // Canonical: enqueues come from barrier handlers (failure/drift
-  // evictions, join retries), which commit the in-flight round first —
-  // the pending set at that point is worker-invariant.
+  // evictions, join retries), which commit the pending round first —
+  // the pending set at that point is fixed by the trace.
   Audit("replan.enqueue", query, /*speculative=*/false);
   return true;
 }
@@ -36,7 +36,7 @@ bool ReplanScheduler::Enqueue(StreamId query) {
 void ReplanScheduler::Discard(StreamId query) {
   if (pending_.erase(query) == 0) return;
   // Speculative: whether the departed query still sits here or was
-  // already dispatched into the in-flight round is a scheduling detail;
+  // already popped into the pending round is a scheduling detail;
   // the canonical record of the departure is the service's own.
   Audit("replan.discard", query, /*speculative=*/true);
   // Remove from its group without re-packing: round boundaries were

@@ -23,35 +23,15 @@ class VirtualClock;
 /// MILP solve, so an unbounded drift report (or a failed host carrying
 /// many queries) could stall the event loop. The policy batches all
 /// pending candidates into *rounds* of at most `max_queries_per_round`
-/// solves; one round is in flight at a time, dispatched at the end of one
+/// solves; one round is pending at a time, popped at the end of one
 /// event and committed at the end of the next (or at an earlier barrier),
 /// so the remainder stays queued for later events and ticks.
 struct ReplanPolicyOptions {
   int max_queries_per_round = 8;
-  /// Worker-pool threads solving re-planning rounds off the event-loop
-  /// thread. Every worker count — including 0 — runs the same
-  /// speculative propose/commit round with the same logical dispatch
-  /// and commit points; `workers` only decides *where* the round's
-  /// solves run. With 0 they run synchronously on the loop thread at
-  /// dispatch; with N >= 1 they run on a pool while the loop keeps
-  /// consuming events (arrivals keep admitting — via the plan-cache
-  /// fast path *and* via speculative cache-miss solves over the
-  /// thread-safe catalog). Proposals commit on the loop thread in FIFO
-  /// order either way, so the worker count never changes the committed
-  /// deployments — only how much solve time overlaps event processing
-  /// (see docs/ARCHITECTURE.md).
+  /// Has no effect: one thread plans, and it admits every round query
+  /// at the round's commit point. Kept so existing callers that set it
+  /// keep compiling.
   int workers = 0;
-  /// Cap the pool at the machine's hardware concurrency (minus nothing —
-  /// the loop thread mostly blocks at the barrier while a round solves).
-  /// Requesting more CPU-bound solver threads than cores buys no
-  /// parallelism, only time-slicing: on a 1-core host, workers=4 made
-  /// every in-flight solve ~4x slower wall-clock (the drift-trace p95
-  /// blow-up the workers=4 Perfetto trace pinned on `milp/node` spans
-  /// stretched by preemption, not on any lock). Deterministic to flip:
-  /// the worker count never affects committed deployments, only solve
-  /// overlap. Tests that *want* oversubscription (TSan interleaving
-  /// coverage) set this to false.
-  bool clamp_workers_to_cores = true;
 };
 
 /// Deduplicating FIFO of re-planning candidates. Candidates accumulate
@@ -103,11 +83,10 @@ class ReplanScheduler {
   void ImportGroups(const std::vector<std::vector<StreamId>>& groups);
 
   /// Attaches a decision audit journal (null detaches). Enqueues happen
-  /// at barrier points, so replan.enqueue records are canonical
-  /// (worker-invariant); a discard depends on whether the departed query
-  /// was still queued or already in flight, so its record is marked
-  /// speculative. `clock` supplies the virtual time
-  /// (loop-thread-owned, like the scheduler itself).
+  /// at barrier points, so replan.enqueue records are canonical; a
+  /// discard depends on whether the departed query was still queued or
+  /// already popped into the pending round, so its record is marked
+  /// speculative. `clock` supplies the virtual time.
   void set_audit(obs::AuditJournal* audit, const VirtualClock* clock) {
     audit_ = audit;
     audit_clock_ = clock;

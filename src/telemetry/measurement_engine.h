@@ -119,13 +119,12 @@ struct TelemetryCheckpoint {
 /// same ResourceMonitor::Analyze + RunDriftCycle path a scripted
 /// kMonitorReport event takes.
 ///
-/// Loop-thread-owned: Measure() reads the committed deployment and the
-/// catalog (lock-free reads), and is only called at the monitor barrier
-/// — after the in-flight re-planning round has been retired — so it
-/// never races worker solves. Determinism: measurements happen at
+/// Measure() reads the committed deployment and the catalog, and is
+/// only called at the monitor barrier — after the pending re-planning
+/// round has committed. Determinism: measurements happen at
 /// deterministic logical points, the sim is seeded per measurement
 /// index, and noise draws advance once per sample in a fixed order, so
-/// the whole closed loop is worker-count-invariant.
+/// the whole closed loop replays bit for bit.
 class MeasurementEngine {
  public:
   MeasurementEngine(const Catalog* catalog, TelemetryOptions options);

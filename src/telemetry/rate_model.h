@@ -68,10 +68,10 @@ const char* RateTrajectoryKindName(RateTrajectory::Kind kind);
 
 /// The ground truth of the closed loop: a seeded, deterministic
 /// collection of per-stream rate trajectories advanced on the virtual
-/// clock. Loop-thread-owned (workers never read it); every evaluation
-/// is a pure function of (seed, installed trajectories, query time), so
-/// replays are bit-for-bit reproducible — the random-walk state advances
-/// with virtual time only, never with wall time or call count.
+/// clock. Every evaluation is a pure function of (seed, installed
+/// trajectories, query time), so replays are bit-for-bit reproducible —
+/// the random-walk state advances with virtual time only, never with
+/// wall time or call count.
 class RateModel {
  public:
   explicit RateModel(uint64_t seed = 0) : seed_(seed) {}

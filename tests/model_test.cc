@@ -185,11 +185,10 @@ TEST(CatalogTest, UnaryOperatorRejectsJoinKind) {
   EXPECT_FALSE(catalog.UnaryOperator(OpKind::kJoin, a, 0, 0.5).ok());
 }
 
-// Concurrency stress for the thread-safe catalog (the service tentpole:
-// speculative arrival solves intern on the loop thread while worker
-// solves read): N reader threads traverse warmed closures — stream
-// infos, producer lists, operator infos, leaf rates — while the main
-// thread keeps interning overlapping closures over the same base pool.
+// Concurrency stress for the thread-safe catalog: N reader threads
+// traverse warmed closures — stream infos, producer lists, operator
+// infos, leaf rates — while the main thread keeps interning overlapping
+// closures over the same base pool.
 // Runs under the -DSQPR_SANITIZE=thread CI job; any unsynchronised
 // access is a TSan failure, any torn read trips the flags below.
 TEST(CatalogTest, ConcurrentReadersDuringInterning) {

@@ -288,7 +288,7 @@ TEST(DeploymentDeltaTest, DiffThenApplyReproducesTheTarget) {
   Deployment base(&f.cluster, &f.catalog);
   ASSERT_TRUE(base.AddFlow(1, 0, f.b).ok());
 
-  Deployment next = base;  // value type: speculative copy
+  Deployment next = base;  // value type: edit a copy
   ASSERT_TRUE(next.PlaceOperator(0, f.join_ab).ok());
   ASSERT_TRUE(next.AddFlow(0, 2, f.ab).ok());
   ASSERT_TRUE(next.SetServing(f.ab, 2).ok());
@@ -305,42 +305,29 @@ TEST(DeploymentDeltaTest, DiffThenApplyReproducesTheTarget) {
   EXPECT_EQ(delta.serving_changes[0].before, kInvalidHost);
   EXPECT_EQ(delta.serving_changes[0].after, 2);
 
+  // The delta lists exactly the mutator calls that reach the target:
+  // replaying them on the base reproduces it.
   Deployment replay = base;
-  ASSERT_TRUE(ApplyDeploymentDelta(delta, &replay).ok());
+  for (const auto& [h, o] : delta.ops_added) {
+    ASSERT_TRUE(replay.PlaceOperator(h, o).ok());
+  }
+  for (const auto& [from, to, s] : delta.flows_added) {
+    ASSERT_TRUE(replay.AddFlow(from, to, s).ok());
+  }
+  for (const DeploymentDelta::ServingChange& c : delta.serving_changes) {
+    ASSERT_TRUE(replay.SetServing(c.stream, c.after).ok());
+  }
   EXPECT_EQ(replay.Fingerprint(), next.Fingerprint());
   EXPECT_TRUE(DiffDeployments(base, base).empty());
-}
 
-TEST(DeploymentDeltaTest, ApplySkipsWorkAnotherCommitAlreadyDid) {
-  Fixture f;
-  Deployment base(&f.cluster, &f.catalog);
-  Deployment next = base;
-  ASSERT_TRUE(next.PlaceOperator(0, f.join_ab).ok());
-  const DeploymentDelta delta = DiffDeployments(base, next);
-
-  // A competing commit placed the same operator first: applying the
-  // delta shares it instead of failing.
-  Deployment live = base;
-  ASSERT_TRUE(live.PlaceOperator(0, f.join_ab).ok());
-  ASSERT_TRUE(ApplyDeploymentDelta(delta, &live).ok());
-  EXPECT_EQ(live.Fingerprint(), next.Fingerprint());
-}
-
-TEST(DeploymentDeltaTest, ApplyConflictsWhenServingDrifted) {
-  Fixture f;
-  Deployment base(&f.cluster, &f.catalog);
-  ASSERT_TRUE(base.PlaceOperator(0, f.join_ab).ok());
-  Deployment next = base;
-  ASSERT_TRUE(next.SetServing(f.ab, 0).ok());
-  const DeploymentDelta delta = DiffDeployments(base, next);
-
-  // Meanwhile the live deployment started serving ab elsewhere: the
-  // delta's `before` no longer matches and the apply must refuse.
-  Deployment live = base;
-  ASSERT_TRUE(live.AddFlow(0, 1, f.ab).ok());
-  ASSERT_TRUE(live.SetServing(f.ab, 1).ok());
-  const Status st = ApplyDeploymentDelta(delta, &live);
-  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+  // And the reverse diff lists the removals.
+  const DeploymentDelta back = DiffDeployments(next, base);
+  EXPECT_TRUE(back.ops_added.empty());
+  EXPECT_EQ(back.ops_removed.size(), 1u);
+  EXPECT_EQ(back.flows_removed.size(), 1u);
+  ASSERT_EQ(back.serving_changes.size(), 1u);
+  EXPECT_EQ(back.serving_changes[0].before, 2);
+  EXPECT_EQ(back.serving_changes[0].after, kInvalidHost);
 }
 
 }  // namespace

@@ -594,100 +594,5 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{4, 12, 0.3, 3}, SweepCase{3, 9, 1.0, 4},
                       SweepCase{2, 6, 0.2, 5}, SweepCase{4, 16, 0.6, 6}));
 
-// ------------------------------------------- Speculative proposals
-
-// Two hosts, all bases injected at host 0, host 1 unusable (zero CPU
-// and NICs), host 0's CPU sized for exactly one 2-way join operator
-// (cost 20 Mbps / 300 = 0.0667): two proposals solved against the same
-// empty snapshot each fit alone but not together.
-struct ProposalScenario {
-  ProposalScenario()
-      : catalog(CostModel{}),
-        cluster(2, HostSpec{0.07, 500.0, 500.0, ""}, 1000.0) {
-    HostSpec dead;
-    dead.cpu = 0.0;
-    dead.nic_out_mbps = 0.0;
-    dead.nic_in_mbps = 0.0;
-    cluster.SetHostSpec(1, dead);
-    for (int i = 0; i < 4; ++i) {
-      base.push_back(catalog.AddBaseStream(0, 10.0));
-    }
-  }
-  Catalog catalog;
-  Cluster cluster;
-  std::vector<StreamId> base;
-};
-
-TEST(SqprProposalTest, ProposeDoesNotMutateAndCommitMatchesInlineSolve) {
-  ProposalScenario s;
-  const StreamId q = *s.catalog.CanonicalJoinStream({s.base[0], s.base[1]});
-  SqprPlanner::Options options;
-  options.timeout_ms = 60000;
-  options.max_nodes = 200;
-
-  SqprPlanner speculative(&s.cluster, &s.catalog, options);
-  ASSERT_TRUE(speculative.WarmCatalog(q).ok());
-  Result<AdmissionProposal> proposal = speculative.ProposeAdmission(q);
-  ASSERT_TRUE(proposal.ok()) << proposal.status().ToString();
-  EXPECT_TRUE(proposal->stats.admitted);
-  // The solve was side-effect-free.
-  EXPECT_TRUE(speculative.admitted_queries().empty());
-  EXPECT_EQ(speculative.deployment().num_placed_operators(), 0);
-
-  Result<PlanningStats> committed = speculative.CommitProposal(*proposal);
-  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
-  EXPECT_TRUE(committed->admitted);
-  EXPECT_TRUE(speculative.deployment().Validate().ok());
-
-  // Same state + same (node-bounded, deterministic) solve inline.
-  SqprPlanner inline_planner(&s.cluster, &s.catalog, options);
-  ASSERT_TRUE(inline_planner.SubmitQuery(q)->admitted);
-  EXPECT_EQ(speculative.deployment().Fingerprint(),
-            inline_planner.deployment().Fingerprint());
-
-  // Re-committing an equivalent proposal is a free dedup, not a double
-  // allocation.
-  Result<PlanningStats> again = speculative.CommitProposal(*proposal);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again->already_served);
-  EXPECT_TRUE(speculative.deployment().Validate().ok());
-}
-
-TEST(SqprProposalTest, StaleProposalConflictsInsteadOfOvercommitting) {
-  ProposalScenario s;
-  const StreamId q01 = *s.catalog.CanonicalJoinStream({s.base[0], s.base[1]});
-  const StreamId q23 = *s.catalog.CanonicalJoinStream({s.base[2], s.base[3]});
-  SqprPlanner::Options options;
-  options.timeout_ms = 60000;
-  options.max_nodes = 200;
-  SqprPlanner planner(&s.cluster, &s.catalog, options);
-  ASSERT_TRUE(planner.WarmCatalog(q01).ok());
-  ASSERT_TRUE(planner.WarmCatalog(q23).ok());
-
-  // Both solved against the same empty snapshot; each fits alone.
-  Result<AdmissionProposal> p1 = planner.ProposeAdmission(q01);
-  Result<AdmissionProposal> p2 = planner.ProposeAdmission(q23);
-  ASSERT_TRUE(p1.ok() && p2.ok());
-  ASSERT_TRUE(p1->stats.admitted && p2->stats.admitted);
-
-  // FIFO commit: the first lands, the second must detect that the CPU
-  // it assumed is gone rather than over-commit host 0.
-  ASSERT_TRUE(planner.CommitProposal(*p1).ok());
-  Result<PlanningStats> second = planner.CommitProposal(*p2);
-  ASSERT_FALSE(second.ok());
-  EXPECT_TRUE(second.status().IsFailedPrecondition())
-      << second.status().ToString();
-  EXPECT_TRUE(planner.deployment().Validate().ok());
-  ASSERT_EQ(planner.admitted_queries().size(), 1u);
-  EXPECT_EQ(planner.admitted_queries()[0], q01);
-
-  // The caller-side fallback — a fresh synchronous solve — correctly
-  // rejects against the live state.
-  Result<PlanningStats> resolve = planner.SubmitQuery(q23);
-  ASSERT_TRUE(resolve.ok());
-  EXPECT_FALSE(resolve->admitted);
-  EXPECT_TRUE(planner.deployment().Validate().ok());
-}
-
 }  // namespace
 }  // namespace sqpr

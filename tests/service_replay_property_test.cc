@@ -1,21 +1,22 @@
 // Property test for the planning service's determinism contract
-// (docs/ARCHITECTURE.md §4): replaying any trace with a node-bounded
-// solver commits bit-for-bit identical deployments — and identical
-// admission/eviction statistics — for every worker count, including the
-// inline mode (workers == 0). Twenty generated traces with varied seeds
-// and event mixes (arrivals/departures/failures/joins/drift/ticks)
-// stand in for "any trace"; the two hand-written worker-invariance
-// cases in service_test.cc remain as focused regressions.
+// (docs/ARCHITECTURE.md §4): replaying a trace with a node-bounded
+// solver commits a deployment, admission/eviction statistics, a
+// canonical audit journal and checkpoint bytes that depend on the trace
+// alone. Twenty generated traces with varied seeds and event mixes
+// (arrivals/departures/failures/joins/drift/ticks) stand in for "any
+// trace". Each property replays from scratch (fresh catalog/cluster/
+// workload from the same seed): drift reports install measured rates
+// into the catalog, so nothing may leak between replays.
 //
-// Each trace is replayed with workers in {0, 1, 4}. Per-replay state is
-// rebuilt from scratch (fresh catalog/cluster/workload from the same
-// seed): drift reports install measured rates into the catalog, so
-// nothing may leak between replays.
-//
-// The contract extends unchanged to closed-loop mode (§IV-C): a second
-// property replays generated closed-loop traces — ground-truth rate
+// The contract extends unchanged to closed-loop mode (§IV-C): further
+// properties replay generated closed-loop traces — ground-truth rate
 // trajectories plus periodic self-measurement, zero scripted monitor
-// events — across the same worker counts.
+// events.
+//
+// Property names that mention worker counts or a worker matrix date
+// from when re-planning rounds could be solved on a worker pool; one
+// thread plans now, and those properties require two fresh replays of
+// the same configuration to agree.
 
 #include <gtest/gtest.h>
 
@@ -35,7 +36,7 @@
 namespace sqpr {
 namespace {
 
-/// Everything the contract promises is worker-count-invariant. Wall
+/// Everything the contract promises depends on the trace alone. Wall
 /// clock (latency stats) is deliberately excluded.
 struct ReplayResult {
   std::string fingerprint;
@@ -47,15 +48,13 @@ struct ReplayResult {
   int64_t replanned_admitted = 0;
   int64_t replanned_rejected = 0;
   int64_t replan_dispatches = 0;
-  int64_t commit_conflicts = 0;
   int64_t overlapped_arrival_solves = 0;
   int64_t monitor_reports = 0;
   int64_t rate_directives = 0;
   int64_t measurement_ticks = 0;
   int64_t auto_replan_rounds = 0;
   /// Analytic-mode measurements and incremental reuse-index updates are
-  /// logical (commit-order) quantities, so the contract covers them;
-  /// snapshot byte counts are NOT here (workers == 0 never snapshots).
+  /// logical (commit-order) quantities, so the contract covers them.
   int64_t analytic_ticks = 0;
   int64_t cache_delta_updates = 0;
   int64_t cache_rebuilds = 0;
@@ -65,15 +64,15 @@ struct ReplayResult {
   auto Tie() const {
     return std::tie(fingerprint, admitted, rejected, dedup_hits,
                     cache_fast_path, evictions, replanned_admitted,
-                    replanned_rejected, replan_dispatches, commit_conflicts,
+                    replanned_rejected, replan_dispatches,
                     overlapped_arrival_solves, monitor_reports,
                     rate_directives, measurement_ticks, auto_replan_rounds,
                     analytic_ticks, cache_delta_updates, cache_rebuilds,
                     pending_replans, valid);
   }
   /// The committed-outcome subset, which a checkpoint restore must
-  /// reproduce. The speculative-attempt counters (replan_dispatches,
-  /// commit_conflicts and the cache counters a conflict moves) are not
+  /// reproduce. The scheduling counters (replan_dispatches,
+  /// overlapped_arrival_solves) and the reuse-index counters are not
   /// checkpointed, so a restored process counts them from zero.
   auto CommittedTie() const {
     return std::tie(fingerprint, admitted, rejected, dedup_hits,
@@ -93,7 +92,6 @@ std::ostream& operator<<(std::ostream& os, const ReplayResult& r) {
             << " replanned=" << r.replanned_admitted << "/"
             << (r.replanned_admitted + r.replanned_rejected)
             << " dispatches=" << r.replan_dispatches
-            << " conflicts=" << r.commit_conflicts
             << " overlapped=" << r.overlapped_arrival_solves
             << " monitor=" << r.monitor_reports
             << " directives=" << r.rate_directives
@@ -167,20 +165,14 @@ Scenario MakeScenario(uint64_t seed, bool closed_loop, int num_events = 36) {
   return s;
 }
 
-ServiceOptions MakeOptions(uint64_t seed, int workers, bool closed_loop,
-                           MeasureMode mode, obs::AuditJournal* journal) {
+ServiceOptions MakeOptions(uint64_t seed, bool closed_loop, MeasureMode mode,
+                           obs::AuditJournal* journal) {
   ServiceOptions options;
   // The contract requires a node-bounded solver: a wall-clock deadline
   // that fires mid-search would make the incumbent depend on machine
   // load (docs/ARCHITECTURE.md §4).
   options.planner.timeout_ms = 60000;
   options.planner.max_nodes = 80;
-  options.replan.workers = workers;
-  // Genuine N-thread coverage: the default clamps the pool to the core
-  // count (a latency guard, see ReplanPolicyOptions), which on a 1-core
-  // CI host would silently turn every workers=4 replay into workers=1
-  // and the worker-invariance property into a tautology.
-  options.replan.clamp_workers_to_cores = false;
   if (closed_loop) {
     options.closed_loop = true;
     options.telemetry.mode = mode;
@@ -209,7 +201,6 @@ ReplayResult Harvest(PlanningService& service) {
   result.replanned_admitted = stats.replanned_admitted;
   result.replanned_rejected = stats.replanned_rejected;
   result.replan_dispatches = stats.replan_dispatches;
-  result.commit_conflicts = stats.commit_conflicts;
   result.overlapped_arrival_solves = stats.overlapped_arrival_solves;
   result.monitor_reports = stats.monitor_reports;
   result.rate_directives = stats.rate_directives;
@@ -223,13 +214,12 @@ ReplayResult Harvest(PlanningService& service) {
   return result;
 }
 
-ReplayResult Replay(uint64_t seed, int workers, bool closed_loop = false,
+ReplayResult Replay(uint64_t seed, bool closed_loop = false,
                     MeasureMode mode = MeasureMode::kEngine,
                     obs::AuditJournal* journal = nullptr) {
   Scenario s = MakeScenario(seed, closed_loop);
-  PlanningService service(
-      s.cluster.get(), s.catalog.get(),
-      MakeOptions(seed, workers, closed_loop, mode, journal));
+  PlanningService service(s.cluster.get(), s.catalog.get(),
+                          MakeOptions(seed, closed_loop, mode, journal));
   for (const Event& e : s.trace) EXPECT_TRUE(service.Enqueue(e).ok());
   EXPECT_TRUE(service.RunUntilIdle().ok());
   if (journal != nullptr) service.FinalizeAudit();
@@ -240,257 +230,127 @@ class ServiceReplayPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ServiceReplayPropertyTest, WorkerCountInvariantDeployments) {
   const uint64_t seed = GetParam();
-  const ReplayResult inline_mode = Replay(seed, 0);
-  EXPECT_TRUE(inline_mode.valid) << "seed " << seed;
-
-  const ReplayResult one_worker = Replay(seed, 1);
-  EXPECT_EQ(inline_mode, one_worker) << "workers 0 vs 1 diverged, seed "
-                                     << seed;
-
-  const ReplayResult four_workers = Replay(seed, 4);
-  EXPECT_EQ(inline_mode, four_workers) << "workers 0 vs 4 diverged, seed "
-                                       << seed;
+  const ReplayResult first = Replay(seed);
+  EXPECT_TRUE(first.valid) << "seed " << seed;
+  EXPECT_EQ(first, Replay(seed)) << "two replays diverged, seed " << seed;
 }
 
 // The same property over the §IV-C closed loop: the trace scripts
 // ground-truth trajectories (zero monitor reports) and every
 // measurement — the ClusterSim run, the seeded noise, the EWMA state,
-// the drift cycle it triggers — happens at the tick barrier on the loop
-// thread, so the full self-measuring service must stay bit-for-bit
-// worker-count-invariant too.
+// the drift cycle it triggers — happens at the tick barrier, so the
+// full self-measuring service must replay bit for bit too.
 TEST_P(ServiceReplayPropertyTest, ClosedLoopWorkerCountInvariant) {
   const uint64_t seed = GetParam();
-  const ReplayResult inline_mode = Replay(seed, 0, /*closed_loop=*/true);
-  EXPECT_TRUE(inline_mode.valid) << "seed " << seed;
-  EXPECT_EQ(inline_mode.monitor_reports, 0)
+  const ReplayResult first = Replay(seed, /*closed_loop=*/true);
+  EXPECT_TRUE(first.valid) << "seed " << seed;
+  EXPECT_EQ(first.monitor_reports, 0)
       << "closed-loop traces must not script measurements, seed " << seed;
-  EXPECT_GT(inline_mode.measurement_ticks, 0)
+  EXPECT_GT(first.measurement_ticks, 0)
       << "closed loop never self-measured, seed " << seed;
-  EXPECT_GT(inline_mode.rate_directives, 0) << "seed " << seed;
-
-  const ReplayResult one_worker = Replay(seed, 1, /*closed_loop=*/true);
-  EXPECT_EQ(inline_mode, one_worker)
-      << "closed loop: workers 0 vs 1 diverged, seed " << seed;
-
-  const ReplayResult four_workers = Replay(seed, 4, /*closed_loop=*/true);
-  EXPECT_EQ(inline_mode, four_workers)
-      << "closed loop: workers 0 vs 4 diverged, seed " << seed;
+  EXPECT_GT(first.rate_directives, 0) << "seed " << seed;
+  EXPECT_EQ(first, Replay(seed, /*closed_loop=*/true))
+      << "closed loop: two replays diverged, seed " << seed;
 }
 
 // And over the analytic measurement mode (no ClusterSim in the loop):
 // the ledger-derived measurements are pure functions of the committed
-// state and the seeded noise stream, so the copy-on-write snapshots,
-// the incremental cache maintenance and the analytic drift decisions
-// must all replay identically at every worker count.
+// state and the seeded noise stream, so the incremental cache
+// maintenance and the analytic drift decisions must replay identically.
 TEST_P(ServiceReplayPropertyTest, AnalyticClosedLoopWorkerCountInvariant) {
   const uint64_t seed = GetParam();
-  const ReplayResult inline_mode =
-      Replay(seed, 0, /*closed_loop=*/true, MeasureMode::kAnalytic);
-  EXPECT_TRUE(inline_mode.valid) << "seed " << seed;
-  EXPECT_GT(inline_mode.measurement_ticks, 0) << "seed " << seed;
-  EXPECT_EQ(inline_mode.analytic_ticks, inline_mode.measurement_ticks)
+  const ReplayResult first =
+      Replay(seed, /*closed_loop=*/true, MeasureMode::kAnalytic);
+  EXPECT_TRUE(first.valid) << "seed " << seed;
+  EXPECT_GT(first.measurement_ticks, 0) << "seed " << seed;
+  EXPECT_EQ(first.analytic_ticks, first.measurement_ticks)
       << "every measurement must take the analytic path, seed " << seed;
-
-  const ReplayResult one_worker =
-      Replay(seed, 1, /*closed_loop=*/true, MeasureMode::kAnalytic);
-  EXPECT_EQ(inline_mode, one_worker)
-      << "analytic loop: workers 0 vs 1 diverged, seed " << seed;
-
-  const ReplayResult four_workers =
-      Replay(seed, 4, /*closed_loop=*/true, MeasureMode::kAnalytic);
-  EXPECT_EQ(inline_mode, four_workers)
-      << "analytic loop: workers 0 vs 4 diverged, seed " << seed;
+  EXPECT_EQ(first, Replay(seed, /*closed_loop=*/true, MeasureMode::kAnalytic))
+      << "analytic loop: two replays diverged, seed " << seed;
 }
 
-// One re-planning round in flight at every worker count: a round
-// dispatched at the end of event N commits at the end of event N+1, so
-// no barrier ever unwinds a round, and only worker-solved rounds pay
-// for a planner copy. The committed outcomes match the inline replay.
+// One re-planning round pending at a time: a round popped at the end of
+// event N commits at the end of event N+1 or at an earlier barrier, so
+// every popped round commits by the end of the replay, and the counters
+// of the retired worker pool (planner copies, bounced proposals,
+// unwound rounds, barrier waits) stay 0.
 TEST_P(ServiceReplayPropertyTest, PipelineDepthWorkerMatrixInvariant) {
   const uint64_t seed = GetParam();
-  ReplayResult baseline;
-  for (const int workers : {0, 1, 4}) {
-    Scenario s = MakeScenario(seed, /*closed_loop=*/false);
-    PlanningService service(
-        s.cluster.get(), s.catalog.get(),
-        MakeOptions(seed, workers, /*closed_loop=*/false,
-                    MeasureMode::kEngine, nullptr));
-    for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
-    ASSERT_TRUE(service.RunUntilIdle().ok());
-    const ReplayResult replay = Harvest(service);
-    if (workers == 0) {
-      baseline = replay;
-      EXPECT_TRUE(baseline.valid) << "seed " << seed;
-    } else {
-      EXPECT_EQ(baseline, replay)
-          << "workers " << workers << " diverged from workers 0, seed "
-          << seed;
-    }
-    const ServiceStats& stats = service.stats();
-    EXPECT_EQ(stats.round_unwinds, 0) << "seed " << seed;
-    EXPECT_EQ(stats.snapshot_bytes_copied > 0,
-              workers > 0 && stats.replan_dispatches > 0)
-        << "workers " << workers << ", seed " << seed;
-  }
+  Scenario s = MakeScenario(seed, /*closed_loop=*/false);
+  PlanningService service(
+      s.cluster.get(), s.catalog.get(),
+      MakeOptions(seed, /*closed_loop=*/false, MeasureMode::kEngine, nullptr));
+  for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
+  ASSERT_TRUE(service.RunUntilIdle().ok());
+  const ServiceStats& stats = service.stats();
+  EXPECT_TRUE(service.deployment().Validate().ok()) << "seed " << seed;
+  EXPECT_EQ(stats.replan_rounds, stats.replan_dispatches) << "seed " << seed;
+  EXPECT_EQ(stats.commit_ms.count(),
+            static_cast<size_t>(stats.replan_rounds))
+      << "seed " << seed;
+  EXPECT_EQ(stats.round_unwinds, 0) << "seed " << seed;
+  EXPECT_EQ(stats.commit_conflicts, 0) << "seed " << seed;
+  EXPECT_EQ(stats.snapshot_bytes_copied, 0) << "seed " << seed;
+  EXPECT_EQ(stats.barrier_ms.count(), 0u) << "seed " << seed;
 }
 
 // The decision audit journal rides the same contract (obs/audit.h):
 // canonical records are emitted at commit points only, so the canonical
 // rendering — header line plus every non-speculative record, "wall"
-// object stripped — must be BYTE-identical across workers {0, 1, 4}.
-// And auditing must never
-// gate behaviour: the journal-attached replays commit the same
+// object stripped — carries no operational stratum. And auditing must
+// never gate behaviour: the journal-attached replay commits the same
 // deployment fingerprint as an audit-off replay of the same trace.
 TEST_P(ServiceReplayPropertyTest, AuditJournalCanonicalBytesMatrixInvariant) {
   const uint64_t seed = GetParam();
-  const ReplayResult audit_off = Replay(seed, 0);
+  const ReplayResult audit_off = Replay(seed);
   EXPECT_TRUE(audit_off.valid) << "seed " << seed;
 
-  std::string canonical;
-  for (const int workers : {0, 1, 4}) {
-    obs::AuditJournal journal;
-    const ReplayResult replay = Replay(seed, workers, /*closed_loop=*/false,
-                                       MeasureMode::kEngine, &journal);
-    EXPECT_EQ(replay.fingerprint, audit_off.fingerprint)
-        << "auditing changed the committed deployment, workers " << workers
-        << ", seed " << seed;
-    const std::string rendered = journal.ToJsonl(/*canonical=*/true);
-    if (canonical.empty()) {
-      canonical = rendered;
-      // Shape sanity on the reference rendering: schema header,
-      // terminator, and no leaked operational stratum.
-      EXPECT_EQ(canonical.find(
-                    "{\"schema\":\"sqpr-audit-v1\",\"canonical\":true}"),
-                0u)
-          << "seed " << seed;
-      EXPECT_NE(canonical.find("\"journal.close\""), std::string::npos)
-          << "seed " << seed;
-      EXPECT_EQ(canonical.find("\"wall\""), std::string::npos)
-          << "canonical rendering leaked wall-clock fields, seed " << seed;
-      EXPECT_EQ(canonical.find("\"round.dispatch\""), std::string::npos)
-          << "canonical rendering leaked a speculative record, seed " << seed;
-      EXPECT_GT(journal.canonical_size(), 0u) << "seed " << seed;
-    } else {
-      EXPECT_EQ(rendered, canonical)
-          << "canonical audit bytes diverged at workers " << workers
-          << ", seed " << seed;
-    }
-  }
+  obs::AuditJournal journal;
+  const ReplayResult replay = Replay(seed, /*closed_loop=*/false,
+                                     MeasureMode::kEngine, &journal);
+  EXPECT_EQ(replay.fingerprint, audit_off.fingerprint)
+      << "auditing changed the committed deployment, seed " << seed;
+  const std::string canonical = journal.ToJsonl(/*canonical=*/true);
+  EXPECT_EQ(
+      canonical.find("{\"schema\":\"sqpr-audit-v1\",\"canonical\":true}"),
+      0u)
+      << "seed " << seed;
+  EXPECT_NE(canonical.find("\"journal.close\""), std::string::npos)
+      << "seed " << seed;
+  EXPECT_EQ(canonical.find("\"wall\""), std::string::npos)
+      << "canonical rendering leaked wall-clock fields, seed " << seed;
+  EXPECT_EQ(canonical.find("\"round.dispatch\""), std::string::npos)
+      << "canonical rendering leaked a speculative record, seed " << seed;
+  EXPECT_GT(journal.canonical_size(), 0u) << "seed " << seed;
 }
 
 // The durability axis of the same contract (docs/ARCHITECTURE.md
 // "Durability & degraded modes"): kill the service after event k,
 // restore the checkpoint into a fresh process, finish the trace — and
-// land exactly where an uninterrupted run lands. Three properties in
-// one sweep over workers {0, 1, 4}:
+// land exactly where an uninterrupted run lands. A fresh scenario
+// (rebuilt from the same seed, as a restarted process would) restored
+// from the checkpoint and fed the not-yet-consumed suffix commits the
+// uninterrupted run's deployment — same fingerprint, same committed
+// statistics — and ends in a byte-identical final checkpoint.
 //
-//   1. The checkpoint taken at event k is BYTE-identical across worker
-//      counts (ExportCheckpoint is a barrier, so every worker count
-//      serializes the same post-barrier state).
-//   2. A fresh scenario (rebuilt from the same seed, as a restarted
-//      process would) restored from that checkpoint and fed the
-//      not-yet-consumed suffix commits the uninterrupted run's
-//      deployment — same fingerprint, same committed statistics.
-//   3. The restored run's final checkpoint is byte-identical to the
-//      uninterrupted run's, and both are worker-invariant.
-//
-// The uninterrupted runs ALSO checkpoint at event k: exporting is a
-// barrier that commits the in-flight round and re-canonicalizes the
+// The uninterrupted run ALSO checkpoints at event k: exporting is a
+// barrier that commits the pending round and re-canonicalizes the
 // ledgers (bumping the deployment version), so it is part of the
 // replayed history — crashing and non-crashing runs must share it.
 TEST_P(ServiceReplayPropertyTest, CheckpointRestoreCrashInvariant) {
   const uint64_t seed = GetParam();
   constexpr int kCrashAfter = 12;
-
-  std::string checkpoint;      // taken at event k by the workers-0 run
-  std::string baseline_final;  // final checkpoint of that run
-  ReplayResult baseline;
-  for (const int workers : {0, 1, 4}) {
-    {
-      // The uninterrupted run: checkpoint at event k, then run through.
-      Scenario s = MakeScenario(seed, /*closed_loop=*/false);
-      ASSERT_GT(s.trace.size(), static_cast<size_t>(kCrashAfter));
-      PlanningService service(
-          s.cluster.get(), s.catalog.get(),
-          MakeOptions(seed, workers, /*closed_loop=*/false,
-                      MeasureMode::kEngine, nullptr));
-      for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
-      for (int i = 0; i < kCrashAfter; ++i) {
-        const Result<EventOutcome> outcome = service.Step();
-        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-      }
-      const Result<std::string> ck = service.ExportCheckpoint();
-      ASSERT_TRUE(ck.ok()) << ck.status().ToString();
-      ASSERT_TRUE(service.RunUntilIdle().ok());
-      const ReplayResult uninterrupted = Harvest(service);
-      const Result<std::string> fin = service.ExportCheckpoint();
-      ASSERT_TRUE(fin.ok()) << fin.status().ToString();
-      if (workers == 0) {
-        checkpoint = *ck;
-        baseline = uninterrupted;
-        baseline_final = *fin;
-        ASSERT_TRUE(baseline.valid) << "seed " << seed;
-      } else {
-        EXPECT_EQ(*ck, checkpoint)
-            << "checkpoint at event " << kCrashAfter
-            << " diverged at workers " << workers << ", seed " << seed;
-        EXPECT_TRUE(baseline.CommittedTie() == uninterrupted.CommittedTie())
-            << "uninterrupted run diverged at workers " << workers
-            << ", seed " << seed;
-        EXPECT_EQ(*fin, baseline_final)
-            << "final checkpoint not worker-invariant at workers " << workers
-            << ", seed " << seed;
-      }
-    }
-
-    // The "restarted process": fresh scenario from the same seed,
-    // restore, replay only the suffix.
-    Scenario s = MakeScenario(seed, /*closed_loop=*/false);
-    PlanningService restored(
-        s.cluster.get(), s.catalog.get(),
-        MakeOptions(seed, workers, /*closed_loop=*/false,
-                    MeasureMode::kEngine, nullptr));
-    const Status ok = restored.RestoreCheckpoint(checkpoint);
-    ASSERT_TRUE(ok.ok()) << ok.ToString() << " at workers " << workers
-                         << ", seed " << seed;
-    ASSERT_EQ(restored.stats().events, kCrashAfter);
-    for (size_t i = kCrashAfter; i < s.trace.size(); ++i) {
-      ASSERT_TRUE(restored.Enqueue(s.trace[i]).ok());
-    }
-    ASSERT_TRUE(restored.RunUntilIdle().ok());
-    const ReplayResult result = Harvest(restored);
-    EXPECT_TRUE(baseline.CommittedTie() == result.CommittedTie())
-        << "restored run diverged at workers " << workers << ", seed "
-        << seed << "\nbaseline: " << baseline << "\nrestored: " << result;
-    const Result<std::string> fin = restored.ExportCheckpoint();
-    ASSERT_TRUE(fin.ok()) << fin.status().ToString();
-    EXPECT_EQ(*fin, baseline_final)
-        << "final checkpoint diverged after restore at workers " << workers
-        << ", seed " << seed;
-  }
-}
-
-// The same kill-restore-finish property through the §IV-C closed loop,
-// which adds the telemetry state to the checkpoint: ground-truth
-// trajectories (walk phases are re-derived lazily from virtual time),
-// the raw measurement-noise RNG state (data-dependent draw count, so it
-// is serialized verbatim), EWMA smoothing state and the last measured
-// rates. Workers {0, 4} keep the cost proportionate — the open-loop
-// sweep above already covers workers 1.
-TEST_P(ServiceReplayPropertyTest, ClosedLoopCheckpointRestoreInvariant) {
-  const uint64_t seed = GetParam();
-  constexpr int kCrashAfter = 12;
+  const ServiceOptions options =
+      MakeOptions(seed, /*closed_loop=*/false, MeasureMode::kEngine, nullptr);
 
   std::string checkpoint;
   std::string baseline_final;
   ReplayResult baseline;
   {
-    Scenario s = MakeScenario(seed, /*closed_loop=*/true);
+    // The uninterrupted run: checkpoint at event k, then run through.
+    Scenario s = MakeScenario(seed, /*closed_loop=*/false);
     ASSERT_GT(s.trace.size(), static_cast<size_t>(kCrashAfter));
-    PlanningService service(s.cluster.get(), s.catalog.get(),
-                            MakeOptions(seed, /*workers=*/0,
-                                        /*closed_loop=*/true,
-                                        MeasureMode::kEngine, nullptr));
+    PlanningService service(s.cluster.get(), s.catalog.get(), options);
     for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
     for (int i = 0; i < kCrashAfter; ++i) {
       const Result<EventOutcome> outcome = service.Step();
@@ -507,30 +367,78 @@ TEST_P(ServiceReplayPropertyTest, ClosedLoopCheckpointRestoreInvariant) {
     baseline_final = std::move(*fin);
   }
 
-  for (const int workers : {0, 4}) {
-    Scenario s = MakeScenario(seed, /*closed_loop=*/true);
-    PlanningService restored(
-        s.cluster.get(), s.catalog.get(),
-        MakeOptions(seed, workers, /*closed_loop=*/true, MeasureMode::kEngine,
-                    nullptr));
-    const Status ok = restored.RestoreCheckpoint(checkpoint);
-    ASSERT_TRUE(ok.ok()) << ok.ToString() << " at workers " << workers
-                         << ", seed " << seed;
-    for (size_t i = kCrashAfter; i < s.trace.size(); ++i) {
-      ASSERT_TRUE(restored.Enqueue(s.trace[i]).ok());
-    }
-    ASSERT_TRUE(restored.RunUntilIdle().ok());
-    const ReplayResult result = Harvest(restored);
-    EXPECT_TRUE(baseline.CommittedTie() == result.CommittedTie())
-        << "closed loop: restored run diverged at workers " << workers
-        << ", seed " << seed << "\nbaseline: " << baseline
-        << "\nrestored: " << result;
-    const Result<std::string> fin = restored.ExportCheckpoint();
-    ASSERT_TRUE(fin.ok()) << fin.status().ToString();
-    EXPECT_EQ(*fin, baseline_final)
-        << "closed loop: final checkpoint diverged after restore at workers "
-        << workers << ", seed " << seed;
+  // The "restarted process": fresh scenario from the same seed, restore,
+  // replay only the suffix.
+  Scenario s = MakeScenario(seed, /*closed_loop=*/false);
+  PlanningService restored(s.cluster.get(), s.catalog.get(), options);
+  const Status ok = restored.RestoreCheckpoint(checkpoint);
+  ASSERT_TRUE(ok.ok()) << ok.ToString() << ", seed " << seed;
+  ASSERT_EQ(restored.stats().events, kCrashAfter);
+  for (size_t i = kCrashAfter; i < s.trace.size(); ++i) {
+    ASSERT_TRUE(restored.Enqueue(s.trace[i]).ok());
   }
+  ASSERT_TRUE(restored.RunUntilIdle().ok());
+  const ReplayResult result = Harvest(restored);
+  EXPECT_TRUE(baseline.CommittedTie() == result.CommittedTie())
+      << "restored run diverged, seed " << seed << "\nbaseline: " << baseline
+      << "\nrestored: " << result;
+  const Result<std::string> fin = restored.ExportCheckpoint();
+  ASSERT_TRUE(fin.ok()) << fin.status().ToString();
+  EXPECT_EQ(*fin, baseline_final)
+      << "final checkpoint diverged after restore, seed " << seed;
+}
+
+// The same kill-restore-finish property through the §IV-C closed loop,
+// which adds the telemetry state to the checkpoint: ground-truth
+// trajectories (walk phases are re-derived lazily from virtual time),
+// the raw measurement-noise RNG state (data-dependent draw count, so it
+// is serialized verbatim), EWMA smoothing state and the last measured
+// rates.
+TEST_P(ServiceReplayPropertyTest, ClosedLoopCheckpointRestoreInvariant) {
+  const uint64_t seed = GetParam();
+  constexpr int kCrashAfter = 12;
+  const ServiceOptions options =
+      MakeOptions(seed, /*closed_loop=*/true, MeasureMode::kEngine, nullptr);
+
+  std::string checkpoint;
+  std::string baseline_final;
+  ReplayResult baseline;
+  {
+    Scenario s = MakeScenario(seed, /*closed_loop=*/true);
+    ASSERT_GT(s.trace.size(), static_cast<size_t>(kCrashAfter));
+    PlanningService service(s.cluster.get(), s.catalog.get(), options);
+    for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
+    for (int i = 0; i < kCrashAfter; ++i) {
+      const Result<EventOutcome> outcome = service.Step();
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    }
+    Result<std::string> ck = service.ExportCheckpoint();
+    ASSERT_TRUE(ck.ok()) << ck.status().ToString();
+    checkpoint = std::move(*ck);
+    ASSERT_TRUE(service.RunUntilIdle().ok());
+    baseline = Harvest(service);
+    ASSERT_TRUE(baseline.valid) << "seed " << seed;
+    Result<std::string> fin = service.ExportCheckpoint();
+    ASSERT_TRUE(fin.ok()) << fin.status().ToString();
+    baseline_final = std::move(*fin);
+  }
+
+  Scenario s = MakeScenario(seed, /*closed_loop=*/true);
+  PlanningService restored(s.cluster.get(), s.catalog.get(), options);
+  const Status ok = restored.RestoreCheckpoint(checkpoint);
+  ASSERT_TRUE(ok.ok()) << ok.ToString() << ", seed " << seed;
+  for (size_t i = kCrashAfter; i < s.trace.size(); ++i) {
+    ASSERT_TRUE(restored.Enqueue(s.trace[i]).ok());
+  }
+  ASSERT_TRUE(restored.RunUntilIdle().ok());
+  const ReplayResult result = Harvest(restored);
+  EXPECT_TRUE(baseline.CommittedTie() == result.CommittedTie())
+      << "closed loop: restored run diverged, seed " << seed
+      << "\nbaseline: " << baseline << "\nrestored: " << result;
+  const Result<std::string> fin = restored.ExportCheckpoint();
+  ASSERT_TRUE(fin.ok()) << fin.status().ToString();
+  EXPECT_EQ(*fin, baseline_final)
+      << "closed loop: final checkpoint diverged after restore, seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Traces, ServiceReplayPropertyTest,
@@ -541,8 +449,8 @@ INSTANTIATE_TEST_SUITE_P(Traces, ServiceReplayPropertyTest,
 // killed after event 100 (SQPR_FAULT=event:100), run in-process: the
 // same scenario generation and service options as the tool's defaults,
 // a checkpoint every 25 consumed events, a crash right after the one at
-// event 100, a fresh process restored from it (at a different worker
-// count) finishing the trace, and the final checkpoint compared byte
+// event 100, a fresh process restored from it finishing the trace, and
+// the final checkpoint compared byte
 // for byte with the uninterrupted run's. The 20-query pool makes the
 // trace revisit the same queries — and so the same solve structures —
 // over and over, and the 20-node budget makes every solve stop on
@@ -581,12 +489,10 @@ CliScenario MakeCliScenario(uint64_t seed) {
   return s;
 }
 
-ServiceOptions CliOptions(uint64_t seed, int workers) {
+ServiceOptions CliOptions(uint64_t seed) {
   ServiceOptions options;
   options.planner.timeout_ms = 60000;
   options.planner.max_nodes = 20;
-  options.replan.workers = workers;
-  options.replan.clamp_workers_to_cores = false;
   options.telemetry.seed = seed;
   return options;
 }
@@ -628,14 +534,14 @@ TEST_P(ServiceKillRestoreTest, RestoredDrillMatchesUninterruptedBytes) {
     CliScenario s = MakeCliScenario(seed);
     ASSERT_GT(s.trace.size(), static_cast<size_t>(kCrashAfter));
     PlanningService service(s.cluster.get(), s.catalog.get(),
-                            CliOptions(seed, /*workers=*/0));
+                            CliOptions(seed));
     uninterrupted = finish(&service, s, 0, &checkpoint);
   }
   ASSERT_FALSE(checkpoint.empty()) << "seed " << seed;
 
   CliScenario s = MakeCliScenario(seed);
   PlanningService restored(s.cluster.get(), s.catalog.get(),
-                           CliOptions(seed, /*workers=*/2));
+                           CliOptions(seed));
   const Status ok = restored.RestoreCheckpoint(checkpoint);
   ASSERT_TRUE(ok.ok()) << ok.ToString() << ", seed " << seed;
   ASSERT_EQ(restored.stats().events, kCrashAfter);
@@ -652,25 +558,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ServiceKillRestoreTest,
 // deployment fingerprint, the canonical audit journal and the final
 // checkpoint bytes of a 120-event replay that also exports a checkpoint
 // every five events. Seeds 1-5, open and closed loop. The constants were
-// recorded with exactly one re-planning round in flight (dispatched at
-// the end of event N, committed at the end of event N+1) at workers 0,
-// with branch-and-bound children re-solved by the dual simplex from
-// their parent's basis (degenerate optima land on other vertices than
-// the primal path's, so that change re-recorded them).
-// Unlike the worker-invariance properties, which compare configurations
-// with each other, this pins the schedule itself: a change that moves a
-// commit point, an audit record or a checkpoint byte fails here even if
-// every worker count agrees. The closed loop with a checkpoint cadence
-// is where a deeper speculative pipeline once committed different
-// deployments while every open-loop depth gate stayed green (closed-loop
-// seed 3 diverges in its canonical audit at depth 2).
+// recorded with one re-planning round pending at a time (popped at the
+// end of event N, its queries admitted through the arrival path — plan
+// cache, dedup, in-place MILP solve — at the end of event N+1), with
+// branch-and-bound children re-solved by the dual simplex from their
+// parent's basis. Unlike the repeatability properties, which compare
+// two replays with each other, this pins the schedule itself: a change
+// that moves a commit point, an audit record or a checkpoint byte fails
+// here even if every replay agrees. The closed loop with a checkpoint
+// cadence is where a deeper speculative pipeline once committed
+// different deployments while every open-loop gate stayed green.
 uint64_t CheckpointedReplayDigest(uint64_t seed, bool closed_loop) {
   constexpr int kEvents = 120;
   constexpr int kCheckpointEvery = 5;
   Scenario s = MakeScenario(seed, closed_loop, kEvents);
   obs::AuditJournal journal;
-  ServiceOptions options = MakeOptions(seed, /*workers=*/0, closed_loop,
-                                       MeasureMode::kEngine, &journal);
+  ServiceOptions options =
+      MakeOptions(seed, closed_loop, MeasureMode::kEngine, &journal);
   PlanningService service(s.cluster.get(), s.catalog.get(), options);
   for (const Event& e : s.trace) EXPECT_TRUE(service.Enqueue(e).ok());
   int consumed = 0;
@@ -701,16 +605,16 @@ TEST(ServiceReplayGoldenTest, CheckpointedReplayDigestsArePinned) {
     uint64_t digest;
   };
   constexpr Golden kGolden[] = {
-      {1, false, 0xa9ef83ed89bc0002},
-      {2, false, 0x5d6a17e5b0c6e4aa},
-      {3, false, 0x30a222439b12d1be},
-      {4, false, 0x4d1c93f21311629d},
-      {5, false, 0x255201b3801356f7},
-      {1, true, 0x4f80f63565974ea1},
-      {2, true, 0xed9e34e0f4d45c71},
-      {3, true, 0xb83a050b3cbadda5},
-      {4, true, 0x70edd14544a6f686},
-      {5, true, 0xc9bd358aa3ad8561},
+      {1, false, 0xd5d50aba6aad9f20},
+      {2, false, 0x1b36aefc00066448},
+      {3, false, 0x09cae4067c1046a3},
+      {4, false, 0xfc392d17706e5bb9},
+      {5, false, 0x0b3dc1db6bb9a2c8},
+      {1, true, 0x7eb5d004b376fb66},
+      {2, true, 0x3fe14368b5f1f1b7},
+      {3, true, 0xee17a15340ca0dbb},
+      {4, true, 0x59807be7764c8428},
+      {5, true, 0xabf8525a56e9c041},
   };
   for (const Golden& g : kGolden) {
     const uint64_t digest = CheckpointedReplayDigest(g.seed, g.closed_loop);

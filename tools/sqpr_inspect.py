@@ -67,8 +67,6 @@ LIFECYCLE_KINDS = (
 )
 SPECULATIVE_QUERY_KINDS = {
     "replan.discard",
-    "replan.requeue",
-    "replan.conflict",
 }
 
 
@@ -382,7 +380,7 @@ def main():
         )
         # Cross-artifact joins: the series' final cumulative counters
         # must agree with what the journal recorded decision by
-        # decision (all three counters are worker/depth-invariant).
+        # decision (all three counters are commit-order quantities).
         expect = {
             "service.events": (life.journal_close or {}).get("detail"),
             "service.admitted": sum(
@@ -458,7 +456,7 @@ def main():
             )
             if wall or solve_ms:
                 line += (
-                    f"  (barrier {wall.get('commit_ms', 0.0):.2f} ms, "
+                    f"  (commit {wall.get('commit_ms', 0.0):.2f} ms, "
                     f"solves {solve_ms:.2f} ms)"
                 )
             dispatch = wall.get("dispatch")

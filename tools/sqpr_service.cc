@@ -4,14 +4,13 @@
 // failures/rejoins, monitor drift reports, ticks — and replays it
 // through the PlanningService, reporting per-event and per-stage
 // latency, admission statistics, plan-cache effectiveness and the final
-// committed deployment audit. With --workers N, re-planning rounds
-// solve on a worker pool off the event-loop thread (see
-// docs/ARCHITECTURE.md for the threading model).
+// committed deployment audit (see docs/ARCHITECTURE.md for the
+// service model).
 //
 // Examples:
 //   sqpr_service --hosts 6 --events 200 --seed 7
 //   sqpr_service --events 500 --save-trace /tmp/churn.trace --verbose
-//   sqpr_service --trace /tmp/churn.trace --workers 4
+//   sqpr_service --trace /tmp/churn.trace
 
 #include <cctype>
 #include <cerrno>
@@ -52,7 +51,6 @@ struct Args {
   int64_t timeout_ms = 150;
   int64_t max_nodes = 0;  // 0 = keep the planner default
   int replan_round = 8;
-  int workers = 0;
   bool closed_loop = false;
   sqpr::MeasureMode measure_mode = sqpr::MeasureMode::kEngine;
   int measure_period = 4;
@@ -72,7 +70,6 @@ struct Args {
   double budget_admit_ms = 0.0;  // watchdog: per-stage budgets
   double budget_solve_ms = 0.0;
   double budget_commit_ms = 0.0;
-  double budget_barrier_ms = 0.0;
   double budget_measure_ms = 0.0;
   std::string checkpoint_out_path;  // crash-durable service checkpoint
   int64_t checkpoint_every = 0;     // events between checkpoints (0 = final only)
@@ -144,18 +141,9 @@ void Usage(std::FILE* out) {
       "                   (default: the planner's own cap); combine\n"
       "                   with a large --timeout-ms for bit-for-bit\n"
       "                   reproducible replays independent of machine\n"
-      "                   load and worker count\n"
+      "                   load\n"
       "  --replan-round N max queries re-planned per bounded round\n"
       "                   (default 8)\n"
-      "  --workers N      worker threads solving re-planning rounds off\n"
-      "                   the event-loop thread (default 0 = the same\n"
-      "                   speculative rounds solved on the loop thread).\n"
-      "                   The pool is clamped to the machine's core\n"
-      "                   count (oversubscription only inflates solver\n"
-      "                   tail latency). The same trace+seed commits\n"
-      "                   identical deployments for any N >= 0 when the\n"
-      "                   solver is node-bounded (see\n"
-      "                   docs/ARCHITECTURE.md)\n"
       "\n"
       "Closed-loop flags (SIV-C self-measurement):\n"
       "  --closed-loop    the service measures its own committed\n"
@@ -183,7 +171,7 @@ void Usage(std::FILE* out) {
       "                   measurement noise (default: --seed)\n"
       "\n"
       "Numeric flag values must be whole, in-range numbers: a malformed\n"
-      "or out-of-range value (\"abc\", \"20x\", --workers -1) exits with\n"
+      "or out-of-range value (\"abc\", \"20x\", --events -1) exits with\n"
       "status 2 naming the flag.\n"
       "\n"
       "Observability flags (docs/ARCHITECTURE.md \u00a77):\n"
@@ -221,22 +209,22 @@ void Usage(std::FILE* out) {
       "                   stage histograms and the watchdog tallies\n"
       "  --audit-out FILE enable the decision audit journal and write it\n"
       "                   as sqpr-audit-v1 JSONL: every admit / reject /\n"
-      "                   re-plan / evict / drift / conflict / unwind\n"
-      "                   decision in commit order, with reason codes,\n"
-      "                   virtual timestamps, wall latencies and pre/post\n"
-      "                   deployment fingerprints\n"
+      "                   re-plan / evict / drift decision in commit\n"
+      "                   order, with reason codes, virtual timestamps,\n"
+      "                   wall latencies and pre/post deployment\n"
+      "                   fingerprints\n"
       "  --audit-canonical\n"
       "                   write only the canonical stratum — speculative\n"
       "                   records and wall-clock fields dropped. This\n"
-      "                   rendering is byte-identical across --workers\n"
-      "                   for the same trace+seed\n"
+      "                   rendering is byte-identical across replays of\n"
+      "                   the same trace+seed\n"
       "  --stall-ms F     watchdog: count Step() calls whose wall time\n"
       "                   exceeds F ms as event-loop stalls (the virtual\n"
       "                   clock stood still while the wall clock ran)\n"
       "  --budget-ms STAGE=F\n"
       "                   watchdog: per-stage wall-latency budget in ms;\n"
-      "                   STAGE one of admit,solve,commit,barrier,\n"
-      "                   measure. Repeatable. Samples over budget bump\n"
+      "                   STAGE one of admit,solve,commit,measure.\n"
+      "                   Repeatable. Samples over budget bump\n"
       "                   the matching *_budget_breaches counter\n"
       "\n"
       "Durability flags (docs/ARCHITECTURE.md \"Durability & degraded\n"
@@ -252,7 +240,7 @@ void Usage(std::FILE* out) {
       "  --checkpoint-every N\n"
       "                   also checkpoint after every N consumed events\n"
       "                   (requires --checkpoint-out). Each checkpoint is\n"
-      "                   a barrier — the in-flight speculative round\n"
+      "                   a barrier — the pending re-planning round\n"
       "                   commits first — so a restored run and an\n"
       "                   uninterrupted run with the same cadence commit\n"
       "                   bit-identical deployments\n"
@@ -388,8 +376,6 @@ int main(int argc, char** argv) {
       ok = ParseNumber(v, &args.max_nodes, 1);
     } else if (flag == "--replan-round" && (v = next())) {
       ok = ParseNumber(v, &args.replan_round, 1);
-    } else if (flag == "--workers" && (v = next())) {
-      ok = ParseNumber(v, &args.workers, 0);
     } else if (flag == "--closed-loop") {
       args.closed_loop = true;
     } else if (flag == "--measure-mode" && (v = next())) {
@@ -445,8 +431,6 @@ int main(int argc, char** argv) {
         args.budget_solve_ms = ms;
       } else if (stage == "commit") {
         args.budget_commit_ms = ms;
-      } else if (stage == "barrier") {
-        args.budget_barrier_ms = ms;
       } else if (stage == "measure") {
         args.budget_measure_ms = ms;
       } else {
@@ -544,7 +528,6 @@ int main(int argc, char** argv) {
   options.planner.solve_deadline_ms = args.solve_deadline_ms;
   if (args.max_nodes > 0) options.planner.max_nodes = args.max_nodes;
   options.replan.max_queries_per_round = args.replan_round;
-  options.replan.workers = args.workers;
   options.closed_loop = args.closed_loop;
   options.telemetry.mode = args.measure_mode;
   options.telemetry.measure_period = args.measure_period;
@@ -555,7 +538,6 @@ int main(int argc, char** argv) {
   options.watchdog.admit_budget_ms = args.budget_admit_ms;
   options.watchdog.solve_budget_ms = args.budget_solve_ms;
   options.watchdog.commit_budget_ms = args.budget_commit_ms;
-  options.watchdog.barrier_budget_ms = args.budget_barrier_ms;
   options.watchdog.measure_budget_ms = args.budget_measure_ms;
   if (!args.trace_out_path.empty()) {
     obs::TraceRecorder::Options trace_options;
@@ -624,10 +606,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "scenario: %d hosts (cpu %.2f, nic %.0f, link %.0f), %d base streams "
-      "@ %.0f Mbps, zipf %.1f, seed %llu, workers %d\n",
+      "@ %.0f Mbps, zipf %.1f, seed %llu\n",
       args.hosts, args.cpu, args.nic_mbps, args.link_mbps, args.streams,
-      args.rate_mbps, args.zipf, static_cast<unsigned long long>(args.seed),
-      args.workers);
+      args.rate_mbps, args.zipf, static_cast<unsigned long long>(args.seed));
   if (args.closed_loop) {
     std::printf(
         "closed loop: %s self-measurement every %d ticks, rate seed %llu\n",
@@ -713,7 +694,7 @@ int main(int argc, char** argv) {
   }
   service.FinishInFlightRound();
   if (!args.checkpoint_out_path.empty()) {
-    // Final checkpoint after the in-flight round commits. Written before
+    // Final checkpoint after the pending round commits. Written before
     // FinalizeAudit so the checkpoint barrier's own audit records are
     // part of the journal like any other round's.
     if (!write_checkpoint()) return 1;
@@ -722,7 +703,7 @@ int main(int argc, char** argv) {
   }
   service.FinalizeAudit();
   if (metrics_series) {
-    // Final sample after the in-flight round commits, so the series ends
+    // Final sample after the pending round commits, so the series ends
     // with the run's complete totals.
     sample_metrics(service.clock().now_ms());
   }
@@ -758,7 +739,6 @@ int main(int argc, char** argv) {
   print_stage("admit", stats.admit_ms);
   print_stage("solve", stats.solve_ms);
   print_stage("commit", stats.commit_ms);
-  print_stage("barrier-wait", stats.barrier_ms);
   if (stats.solve_ms.count() > 0) {
     std::printf(
         "  solver wall-time percentiles: p50 %.2f ms  p90 %.2f ms  "
@@ -809,31 +789,17 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.replanned_admitted),
               static_cast<long long>(stats.replanned_rejected),
               service.pending_replans());
-  std::printf("speculative rounds: %d workers, %lld rounds dispatched, "
-              "%lld commit conflicts re-solved inline, %lld arrival solves "
-              "overlapped the in-flight round\n",
-              service.workers(),
-              static_cast<long long>(stats.replan_dispatches),
-              static_cast<long long>(stats.commit_conflicts),
-              static_cast<long long>(stats.overlapped_arrival_solves));
-  if (stats.replan_dispatches > 0 && service.workers() > 0) {
-    std::printf("planner copies: %lld bytes copied on the loop thread "
-                "across %lld dispatches\n",
-                static_cast<long long>(stats.snapshot_bytes_copied),
-                static_cast<long long>(stats.replan_dispatches));
-  }
   if (args.stall_ms > 0 || args.budget_admit_ms > 0 ||
       args.budget_solve_ms > 0 || args.budget_commit_ms > 0 ||
-      args.budget_barrier_ms > 0 || args.budget_measure_ms > 0) {
+      args.budget_measure_ms > 0) {
     std::printf("watchdog: %lld event-loop stalls (worst %.2f ms); budget "
-                "breaches: admit %lld, solve %lld, commit %lld, barrier "
-                "%lld, measure %lld\n",
+                "breaches: admit %lld, solve %lld, commit %lld, measure "
+                "%lld\n",
                 static_cast<long long>(stats.loop_stalls),
                 stats.worst_stall_ms,
                 static_cast<long long>(stats.admit_budget_breaches),
                 static_cast<long long>(stats.solve_budget_breaches),
                 static_cast<long long>(stats.commit_budget_breaches),
-                static_cast<long long>(stats.barrier_budget_breaches),
                 static_cast<long long>(stats.measure_budget_breaches));
   }
 
@@ -915,11 +881,10 @@ int main(int argc, char** argv) {
     stats_publisher.Publish(stats);
     char head[256];
     std::snprintf(head, sizeof(head),
-                  "{\"schema\":\"sqpr-service-stats-v1\",\"workers\":%d,"
+                  "{\"schema\":\"sqpr-service-stats-v1\","
                   "\"final_t_ms\":%lld,"
                   "\"total_wall_ms\":%.6g,\"max_event_ms\":%.6g,"
                   "\"worst_stall_ms\":%.6g,\"stats\":",
-                  service.workers(),
                   static_cast<long long>(service.clock().now_ms()),
                   stats.total_wall_ms, stats.max_event_ms,
                   stats.worst_stall_ms);
